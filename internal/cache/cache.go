@@ -8,7 +8,10 @@
 // deployment resources are revived."
 //
 // GLARE uses a two-level cache: one instance on every normal Grid site and
-// one on each super-peer; both are this type.
+// one on each super-peer; both are this type. A Cache holds one value kind,
+// decoded once where it came off the wire. Stored values are shared with
+// every reader and must be treated as read-only: a caller that needs a
+// variant copies the value and never writes through what Get returned.
 package cache
 
 import (
@@ -19,14 +22,15 @@ import (
 	"glare/internal/hlc"
 	"glare/internal/simclock"
 	"glare/internal/telemetry"
-	"glare/internal/xmlutil"
 )
 
-// Entry is one cached remote resource.
-type Entry struct {
+// Entry is one cached remote resource. Entries are never modified after
+// they are stored: a write replaces the entry, so an *Entry a reader holds
+// keeps the value it was read with.
+type Entry[V any] struct {
 	Key     string
 	Source  epr.EPR // where the resource lives; carries LastUpdateTime
-	Doc     *xmlutil.Node
+	Value   V
 	Fetched time.Time
 }
 
@@ -41,13 +45,20 @@ type Stats struct {
 	Stale uint64
 }
 
+// Add returns the field-wise sum of two snapshots, for reporting caches
+// that together hold one family of resources.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses, Revived: s.Revived + o.Revived,
+		Discarded: s.Discarded + o.Discarded, Stale: s.Stale + o.Stale}
+}
+
 // Cache is a keyed resource cache with TTL and LUT-based revival.
-type Cache struct {
+type Cache[V any] struct {
 	mu       sync.Mutex
 	clock    simclock.Clock
 	ttl      time.Duration
 	staleFor time.Duration
-	entries  map[string]*Entry
+	entries  map[string]*Entry[V]
 	stats    Stats
 
 	// Telemetry mirrors of the stats counters; nil until Instrument is
@@ -59,20 +70,20 @@ type Cache struct {
 const DefaultTTL = 5 * time.Minute
 
 // New creates a cache; ttl <= 0 uses DefaultTTL.
-func New(clock simclock.Clock, ttl time.Duration) *Cache {
+func New[V any](clock simclock.Clock, ttl time.Duration) *Cache[V] {
 	if clock == nil {
 		clock = simclock.Real
 	}
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	return &Cache{clock: clock, ttl: ttl, entries: make(map[string]*Entry)}
+	return &Cache[V]{clock: clock, ttl: ttl, entries: make(map[string]*Entry[V])}
 }
 
 // Instrument mirrors the cache's effectiveness counters onto telemetry
 // instruments so they appear on the site's /metrics exposition. Call
 // before the cache is shared across goroutines.
-func (c *Cache) Instrument(hits, misses, revived, discarded *telemetry.Counter) {
+func (c *Cache[V]) Instrument(hits, misses, revived, discarded *telemetry.Counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hits, c.misses, c.revived, c.discarded = hits, misses, revived, discarded
@@ -83,7 +94,7 @@ func (c *Cache) Instrument(hits, misses, revived, discarded *telemetry.Counter) 
 // (it will not silently serve stale data), but GetStale serves it while
 // the source site is unreachable. d <= 0 (the default) disables retention
 // and restores eager eviction on expiry.
-func (c *Cache) SetStaleFor(d time.Duration) {
+func (c *Cache[V]) SetStaleFor(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.staleFor = d
@@ -91,17 +102,17 @@ func (c *Cache) SetStaleFor(d time.Duration) {
 
 // InstrumentStale mirrors the stale-served counter onto a telemetry
 // instrument. Call before the cache is shared across goroutines.
-func (c *Cache) InstrumentStale(stale *telemetry.Counter) {
+func (c *Cache[V]) InstrumentStale(stale *telemetry.Counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.staleSrv = stale
 }
 
 // Put stores (or replaces) a cached resource.
-func (c *Cache) Put(key string, source epr.EPR, doc *xmlutil.Node) {
+func (c *Cache[V]) Put(key string, source epr.EPR, value V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[key] = &Entry{Key: key, Source: source, Doc: doc, Fetched: c.clock.Now()}
+	c.entries[key] = &Entry[V]{Key: key, Source: source, Value: value, Fetched: c.clock.Now()}
 }
 
 // PutIfNewer stores the resource only when no entry exists for key or the
@@ -113,7 +124,7 @@ func (c *Cache) Put(key string, source epr.EPR, doc *xmlutil.Node) {
 // conflicts are real under hybrid logical clocks, whose instants only
 // totally order together with the stamping site's name. Reports whether
 // the entry was written.
-func (c *Cache) PutIfNewer(key string, source epr.EPR, doc *xmlutil.Node) bool {
+func (c *Cache[V]) PutIfNewer(key string, source epr.EPR, value V) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok && !hlc.Newer(
@@ -121,14 +132,14 @@ func (c *Cache) PutIfNewer(key string, source epr.EPR, doc *xmlutil.Node) bool {
 		e.Source.LastUpdateTime, e.Source.Extra["OriginSite"]) {
 		return false
 	}
-	c.entries[key] = &Entry{Key: key, Source: source, Doc: doc, Fetched: c.clock.Now()}
+	c.entries[key] = &Entry[V]{Key: key, Source: source, Value: value, Fetched: c.clock.Now()}
 	return true
 }
 
-// Get returns the cached document for key if present and fresh. Expired
+// Get returns the cached entry for key if present and fresh. Expired
 // entries miss; they are evicted immediately unless a stale-retention
 // window (SetStaleFor) keeps them reachable through GetStale.
-func (c *Cache) Get(key string) (*Entry, bool) {
+func (c *Cache[V]) Get(key string) (*Entry[V], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -156,7 +167,7 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 // within the stale-retention window. It is the degraded-resolution path:
 // when the source site is unreachable, an outdated answer marked as such
 // beats no answer. Fresh entries count as hits; stale ones as Stale.
-func (c *Cache) GetStale(key string) (*Entry, bool) {
+func (c *Cache[V]) GetStale(key string) (*Entry[V], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -185,7 +196,7 @@ func (c *Cache) GetStale(key string) (*Entry, bool) {
 }
 
 // Peek is Get without statistics or TTL eviction; used by the refresher.
-func (c *Cache) Peek(key string) (*Entry, bool) {
+func (c *Cache[V]) Peek(key string) (*Entry[V], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -193,7 +204,7 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 }
 
 // Invalidate removes one entry.
-func (c *Cache) Invalidate(key string) {
+func (c *Cache[V]) Invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
@@ -204,7 +215,7 @@ func (c *Cache) Invalidate(key string) {
 }
 
 // Keys returns the currently cached keys (unsorted).
-func (c *Cache) Keys() []string {
+func (c *Cache[V]) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.entries))
@@ -215,31 +226,31 @@ func (c *Cache) Keys() []string {
 }
 
 // Len reports the number of cached entries.
-func (c *Cache) Len() int {
+func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
 }
 
 // Resolver re-fetches a resource from its source. It returns the fresh EPR
-// (with current LastUpdateTime) and document, or an error when the source
-// is gone.
-type Resolver func(key string, source epr.EPR) (epr.EPR, *xmlutil.Node, error)
+// (with current LastUpdateTime) and decoded value, or an error when the
+// source is gone.
+type Resolver[V any] func(key string, source epr.EPR) (epr.EPR, V, error)
 
 // Refresh implements the Cache Refresher pass: for every cached entry whose
 // source LastUpdateTime is newer than the cached one, re-fetch ("revive")
-// the document; entries whose source has disappeared are discarded. probe
+// the value; entries whose source has disappeared are discarded. probe
 // fetches the source's current LUT cheaply.
-func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error), resolve Resolver) (revived, discarded int) {
+func (c *Cache[V]) Refresh(probe func(key string, source epr.EPR) (time.Time, error), resolve Resolver[V]) (revived, discarded int) {
 	c.mu.Lock()
-	keys := make([]*Entry, 0, len(c.entries))
+	keys := make([]*Entry[V], 0, len(c.entries))
 	for _, e := range c.entries {
 		keys = append(keys, e)
 	}
@@ -259,7 +270,7 @@ func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error
 		if !lut.After(e.Source.LastUpdateTime) {
 			continue // unchanged
 		}
-		freshEPR, doc, err := resolve(e.Key, e.Source)
+		freshEPR, value, err := resolve(e.Key, e.Source)
 		if err != nil {
 			c.mu.Lock()
 			delete(c.entries, e.Key)
@@ -270,7 +281,7 @@ func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error
 			continue
 		}
 		c.mu.Lock()
-		c.entries[e.Key] = &Entry{Key: e.Key, Source: freshEPR, Doc: doc, Fetched: c.clock.Now()}
+		c.entries[e.Key] = &Entry[V]{Key: e.Key, Source: freshEPR, Value: value, Fetched: c.clock.Now()}
 		c.stats.Revived++
 		c.revived.Inc()
 		c.mu.Unlock()
@@ -280,8 +291,8 @@ func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error
 }
 
 // Clear empties the cache.
-func (c *Cache) Clear() {
+func (c *Cache[V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*Entry)
+	c.entries = make(map[string]*Entry[V])
 }

@@ -7,12 +7,11 @@ import (
 
 	"glare/internal/epr"
 	"glare/internal/simclock"
-	"glare/internal/xmlutil"
 )
 
-func fixture() (*Cache, *simclock.Virtual) {
+func fixture() (*Cache[string], *simclock.Virtual) {
 	v := simclock.NewVirtual(time.Time{})
-	return New(v, time.Minute), v
+	return New[string](v, time.Minute), v
 }
 
 func src(key string, lut time.Time) epr.EPR {
@@ -23,10 +22,9 @@ func src(key string, lut time.Time) epr.EPR {
 
 func TestPutGet(t *testing.T) {
 	c, v := fixture()
-	doc := xmlutil.NewNode("ActivityDeployment")
-	c.Put("jpovray", src("jpovray", v.Now()), doc)
+	c.Put("jpovray", src("jpovray", v.Now()), "ActivityDeployment")
 	e, ok := c.Get("jpovray")
-	if !ok || e.Doc != doc {
+	if !ok || e.Value != "ActivityDeployment" {
 		t.Fatal("get failed")
 	}
 	if _, ok := c.Get("missing"); ok {
@@ -40,7 +38,7 @@ func TestPutGet(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	c, v := fixture()
-	c.Put("a", src("a", v.Now()), nil)
+	c.Put("a", src("a", v.Now()), "")
 	v.Advance(2 * time.Minute)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("stale entry served")
@@ -55,7 +53,7 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c, v := fixture()
-	c.Put("a", src("a", v.Now()), nil)
+	c.Put("a", src("a", v.Now()), "")
 	c.Invalidate("a")
 	c.Invalidate("a") // idempotent
 	if c.Len() != 0 || c.Stats().Discarded != 1 {
@@ -66,20 +64,20 @@ func TestInvalidate(t *testing.T) {
 func TestRefreshRevivesChangedEntries(t *testing.T) {
 	c, v := fixture()
 	t0 := v.Now()
-	c.Put("dep", src("dep", t0), xmlutil.NewNode("Old"))
+	c.Put("dep", src("dep", t0), "Old")
 	v.Advance(10 * time.Second)
 	newLUT := v.Now()
 
 	probe := func(key string, source epr.EPR) (time.Time, error) { return newLUT, nil }
-	resolve := func(key string, source epr.EPR) (epr.EPR, *xmlutil.Node, error) {
-		return src(key, newLUT), xmlutil.NewNode("New"), nil
+	resolve := func(key string, source epr.EPR) (epr.EPR, string, error) {
+		return src(key, newLUT), "New", nil
 	}
 	revived, discarded := c.Refresh(probe, resolve)
 	if revived != 1 || discarded != 0 {
 		t.Fatalf("revived=%d discarded=%d", revived, discarded)
 	}
 	e, ok := c.Get("dep")
-	if !ok || e.Doc.Name != "New" {
+	if !ok || e.Value != "New" {
 		t.Fatal("entry not revived")
 	}
 	if !e.Source.LastUpdateTime.Equal(newLUT) {
@@ -94,7 +92,7 @@ func TestRefreshRevivesChangedEntries(t *testing.T) {
 
 func TestRefreshDiscardsDeadSources(t *testing.T) {
 	c, v := fixture()
-	c.Put("gone", src("gone", v.Now()), nil)
+	c.Put("gone", src("gone", v.Now()), "")
 	probe := func(string, epr.EPR) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("connection refused")
 	}
@@ -107,11 +105,11 @@ func TestRefreshDiscardsDeadSources(t *testing.T) {
 func TestRefreshDiscardsWhenResolveFails(t *testing.T) {
 	c, v := fixture()
 	t0 := v.Now()
-	c.Put("x", src("x", t0), nil)
+	c.Put("x", src("x", t0), "")
 	v.Advance(time.Second)
 	probe := func(string, epr.EPR) (time.Time, error) { return v.Now(), nil }
-	resolve := func(string, epr.EPR) (epr.EPR, *xmlutil.Node, error) {
-		return epr.EPR{}, nil, fmt.Errorf("resource destroyed")
+	resolve := func(string, epr.EPR) (epr.EPR, string, error) {
+		return epr.EPR{}, "", fmt.Errorf("resource destroyed")
 	}
 	revived, discarded := c.Refresh(probe, resolve)
 	if revived != 0 || discarded != 1 {
@@ -121,7 +119,7 @@ func TestRefreshDiscardsWhenResolveFails(t *testing.T) {
 
 func TestPeekDoesNotCountOrEvict(t *testing.T) {
 	c, v := fixture()
-	c.Put("a", src("a", v.Now()), nil)
+	c.Put("a", src("a", v.Now()), "")
 	v.Advance(2 * time.Minute)
 	if _, ok := c.Peek("a"); !ok {
 		t.Fatal("peek must see stale entries")
@@ -133,8 +131,8 @@ func TestPeekDoesNotCountOrEvict(t *testing.T) {
 
 func TestKeysAndClear(t *testing.T) {
 	c, v := fixture()
-	c.Put("a", src("a", v.Now()), nil)
-	c.Put("b", src("b", v.Now()), nil)
+	c.Put("a", src("a", v.Now()), "")
+	c.Put("b", src("b", v.Now()), "")
 	if len(c.Keys()) != 2 {
 		t.Fatal("keys wrong")
 	}
@@ -145,7 +143,7 @@ func TestKeysAndClear(t *testing.T) {
 }
 
 func TestDefaultTTL(t *testing.T) {
-	c := New(nil, 0)
+	c := New[string](nil, 0)
 	if c.ttl != DefaultTTL {
 		t.Fatalf("ttl = %v", c.ttl)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"glare/internal/epr"
 	"glare/internal/simclock"
-	"glare/internal/xmlutil"
 )
 
 // cacheOp encodes one random cache action.
@@ -24,7 +23,7 @@ func TestQuickCacheAgreesWithModel(t *testing.T) {
 	const ttl = time.Minute
 	f := func(ops []cacheOp) bool {
 		clock := simclock.NewVirtual(time.Time{})
-		c := New(clock, ttl)
+		c := New[string](clock, ttl)
 		type entry struct{ stored time.Time }
 		model := map[string]entry{}
 		var prev Stats
@@ -34,7 +33,7 @@ func TestQuickCacheAgreesWithModel(t *testing.T) {
 			case 0:
 				src := epr.New("http://s/wsrf/services/X", "K", key)
 				src.LastUpdateTime = clock.Now()
-				c.Put(key, src, xmlutil.NewNode("V"))
+				c.Put(key, src, "V")
 				model[key] = entry{stored: clock.Now()}
 			case 1:
 				_, got := c.Get(key)

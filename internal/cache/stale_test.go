@@ -3,15 +3,12 @@ package cache
 import (
 	"testing"
 	"time"
-
-	"glare/internal/xmlutil"
 )
 
 func TestStaleRetentionWindow(t *testing.T) {
 	c, v := fixture() // TTL one minute
 	c.SetStaleFor(10 * time.Minute)
-	doc := xmlutil.NewNode("ActivityDeployment")
-	c.Put("d", src("d", v.Now()), doc)
+	c.Put("d", src("d", v.Now()), "ActivityDeployment")
 
 	// Fresh: both paths hit.
 	if _, ok := c.Get("d"); !ok {
@@ -31,7 +28,7 @@ func TestStaleRetentionWindow(t *testing.T) {
 		t.Fatal("expired entry evicted despite stale retention")
 	}
 	e, ok := c.GetStale("d")
-	if !ok || e.Doc != doc {
+	if !ok || e.Value != "ActivityDeployment" {
 		t.Fatal("stale entry not served by GetStale")
 	}
 	st := c.Stats()
@@ -58,7 +55,7 @@ func TestStaleRetentionWindow(t *testing.T) {
 
 func TestGetStaleWithoutRetentionBehavesLikeGet(t *testing.T) {
 	c, v := fixture() // staleFor defaults to 0: eager eviction
-	c.Put("d", src("d", v.Now()), xmlutil.NewNode("X"))
+	c.Put("d", src("d", v.Now()), "X")
 	v.Advance(2 * time.Minute)
 	if _, ok := c.GetStale("d"); ok {
 		t.Fatal("stale served with retention disabled")

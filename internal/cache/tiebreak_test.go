@@ -6,16 +6,15 @@ import (
 
 	"glare/internal/epr"
 	"glare/internal/simclock"
-	"glare/internal/xmlutil"
 )
 
-func offered(origin string, lut time.Time) (epr.EPR, *xmlutil.Node) {
+// offered returns a copy of resource "k" stamped by origin; its value
+// names the origin so the surviving copy is identifiable.
+func offered(origin string, lut time.Time) (epr.EPR, string) {
 	src := epr.New("http://"+origin+"/atr", "Name", "k")
 	src.LastUpdateTime = lut
 	src.Extra = map[string]string{"OriginSite": origin}
-	doc := xmlutil.NewNode("Doc")
-	doc.SetAttr("from", origin)
-	return src, doc
+	return src, origin
 }
 
 // TestPutIfNewerEqualStampConvergesOnSiteName pins the anti-entropy
@@ -31,7 +30,7 @@ func TestPutIfNewerEqualStampConvergesOnSiteName(t *testing.T) {
 	srcB, docB := offered("agrid02.uibk.ac.at", stamp)
 
 	// Order 1: learn A's copy, then B's. B (greater name) must replace A.
-	c1 := New(clock, time.Hour)
+	c1 := New[string](clock, time.Hour)
 	if !c1.PutIfNewer("type:k", srcA, docA) {
 		t.Fatal("first put refused")
 	}
@@ -40,7 +39,7 @@ func TestPutIfNewerEqualStampConvergesOnSiteName(t *testing.T) {
 	}
 
 	// Order 2: learn B's copy, then A's. A (lesser name) must lose.
-	c2 := New(clock, time.Hour)
+	c2 := New[string](clock, time.Hour)
 	if !c2.PutIfNewer("type:k", srcB, docB) {
 		t.Fatal("first put refused")
 	}
@@ -50,7 +49,7 @@ func TestPutIfNewerEqualStampConvergesOnSiteName(t *testing.T) {
 
 	e1, _ := c1.Peek("type:k")
 	e2, _ := c2.Peek("type:k")
-	if got1, got2 := e1.Doc.AttrOr("from", ""), e2.Doc.AttrOr("from", ""); got1 != got2 {
+	if got1, got2 := e1.Value, e2.Value; got1 != got2 {
 		t.Fatalf("learn orders diverged: %q vs %q", got1, got2)
 	} else if got1 != "agrid02.uibk.ac.at" {
 		t.Fatalf("winner = %q, want the greater origin name", got1)
@@ -64,11 +63,11 @@ func TestPutIfNewerEqualStampSameOriginRefused(t *testing.T) {
 	clock := simclock.NewVirtual(time.Time{})
 	stamp := time.Unix(500, 0).UTC()
 	src, doc := offered("agrid01.uibk.ac.at", stamp)
-	c := New(clock, time.Hour)
+	c := New[string](clock, time.Hour)
 	if !c.PutIfNewer("type:k", src, doc) {
 		t.Fatal("first put refused")
 	}
-	if c.PutIfNewer("type:k", src, doc.Clone()) {
+	if c.PutIfNewer("type:k", src, doc) {
 		t.Fatal("identical (stamp, origin) re-offer was treated as newer")
 	}
 }

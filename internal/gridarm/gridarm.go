@@ -1,29 +1,20 @@
-// Package gridarm implements the companion resource-management system the
-// paper pairs GLARE with: "GLARE's dynamic registration, automatic
-// deployment and on-demand provision of the Grid activities, in
-// combination with GridARM's resource brokerage and advanced reservation,
-// provide a powerful base for the Grid workflow management system" (§1,
-// citing [36]).
+// Package gridarm implements the part of the companion resource-management
+// system the paper pairs GLARE with that GLARE itself uses: "GLARE's
+// dynamic registration, automatic deployment and on-demand provision of
+// the Grid activities, in combination with GridARM's resource brokerage
+// and advanced reservation, provide a powerful base for the Grid workflow
+// management system" (§1, citing [36]).
 //
-// Two services are provided:
-//
-//   - Broker: ranks candidate Grid sites against a physical-resource
-//     request (platform/OS/arch constraints plus capacity minima). The
-//     GLARE deployment manager consults it when choosing an installation
-//     target.
-//   - Reservations: site-level advance reservations — time windows over a
-//     site's processor capacity. GLARE's activity leasing (internal/lease)
-//     reserves one deployment; GridARM reserves the machine room under it.
+// Only the broker is modelled: Rank orders candidate Grid sites against a
+// physical-resource request (platform/OS/arch constraints plus capacity
+// minima), and the GLARE deployment manager consults it when choosing an
+// installation target. GridARM's advance reservations are out of scope;
+// GLARE's own activity leasing (internal/lease) reserves deployments.
 package gridarm
 
 import (
-	"errors"
-	"fmt"
 	"sort"
-	"sync"
-	"time"
 
-	"glare/internal/simclock"
 	"glare/internal/site"
 )
 
@@ -84,132 +75,4 @@ func Rank(sites []site.Attributes, req Request) []Candidate {
 		return out[i].Attrs.Name < out[j].Attrs.Name
 	})
 	return out
-}
-
-// Errors returned by the reservation service.
-var (
-	ErrCapacity = errors.New("gridarm: insufficient capacity in the window")
-	ErrUnknown  = errors.New("gridarm: no such reservation")
-)
-
-// Reservation is one advance reservation of processors on a site.
-type Reservation struct {
-	ID         uint64
-	Site       string
-	Client     string
-	Processors int
-	From, To   time.Time
-}
-
-// overlaps reports whether two half-open windows intersect.
-func (r Reservation) overlaps(from, to time.Time) bool {
-	return r.From.Before(to) && from.Before(r.To)
-}
-
-// Reservations is the advance-reservation service over a set of sites.
-type Reservations struct {
-	mu       sync.Mutex
-	clock    simclock.Clock
-	capacity map[string]int // site -> processors
-	nextID   uint64
-	active   map[uint64]*Reservation
-}
-
-// NewReservations creates the service; capacities are registered per site.
-func NewReservations(clock simclock.Clock) *Reservations {
-	if clock == nil {
-		clock = simclock.Real
-	}
-	return &Reservations{
-		clock:    clock,
-		capacity: make(map[string]int),
-		active:   make(map[uint64]*Reservation),
-	}
-}
-
-// RegisterSite declares a site's processor capacity.
-func (s *Reservations) RegisterSite(a site.Attributes) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.capacity[a.Name] = a.Processors
-}
-
-// Reserve books processors on a site over [from, to). It fails when the
-// peak committed capacity in the window would exceed the site's.
-func (s *Reservations) Reserve(siteName, client string, processors int, from, to time.Time) (Reservation, error) {
-	if processors <= 0 {
-		return Reservation{}, fmt.Errorf("gridarm: non-positive processor count")
-	}
-	if !from.Before(to) {
-		return Reservation{}, fmt.Errorf("gridarm: empty window")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cap, ok := s.capacity[siteName]
-	if !ok {
-		return Reservation{}, fmt.Errorf("gridarm: unknown site %q", siteName)
-	}
-	committed := 0
-	for _, r := range s.active {
-		if r.Site == siteName && r.overlaps(from, to) {
-			committed += r.Processors
-		}
-	}
-	if committed+processors > cap {
-		return Reservation{}, fmt.Errorf("%w: %d committed + %d requested > %d on %s",
-			ErrCapacity, committed, processors, cap, siteName)
-	}
-	s.nextID++
-	r := &Reservation{
-		ID: s.nextID, Site: siteName, Client: client,
-		Processors: processors, From: from, To: to,
-	}
-	s.active[r.ID] = r
-	return *r, nil
-}
-
-// Release cancels a reservation.
-func (s *Reservations) Release(id uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.active[id]; !ok {
-		return ErrUnknown
-	}
-	delete(s.active, id)
-	return nil
-}
-
-// Committed reports the processors committed on a site at an instant.
-func (s *Reservations) Committed(siteName string, at time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, r := range s.active {
-		if r.Site == siteName && !at.Before(r.From) && at.Before(r.To) {
-			total += r.Processors
-		}
-	}
-	return total
-}
-
-// Expire drops reservations whose window has passed; returns the count.
-func (s *Reservations) Expire() int {
-	now := s.clock.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for id, r := range s.active {
-		if !r.To.After(now) {
-			delete(s.active, id)
-			n++
-		}
-	}
-	return n
-}
-
-// Active returns the number of live reservations.
-func (s *Reservations) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.active)
 }

@@ -1,12 +1,8 @@
 package gridarm
 
 import (
-	"errors"
 	"testing"
-	"testing/quick"
-	"time"
 
-	"glare/internal/simclock"
 	"glare/internal/site"
 )
 
@@ -58,113 +54,5 @@ func TestRankOrdersByCapacity(t *testing.T) {
 	r := Rank(tie, Request{})
 	if r[0].Attrs.Name != "a" {
 		t.Fatal("tie-break not by name")
-	}
-}
-
-func fixture() (*Reservations, *simclock.Virtual) {
-	v := simclock.NewVirtual(time.Time{})
-	s := NewReservations(v)
-	s.RegisterSite(attrs("agrid1", 1500, 2048, 8, 100))
-	return s, v
-}
-
-func TestReserveWithinCapacity(t *testing.T) {
-	s, v := fixture()
-	now := v.Now()
-	r1, err := s.Reserve("agrid1", "c1", 4, now, now.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Reserve("agrid1", "c2", 4, now, now.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	// Capacity is now exhausted for the window.
-	if _, err := s.Reserve("agrid1", "c3", 1, now, now.Add(time.Hour)); !errors.Is(err, ErrCapacity) {
-		t.Fatalf("err = %v", err)
-	}
-	// A disjoint window is free.
-	if _, err := s.Reserve("agrid1", "c3", 8, now.Add(2*time.Hour), now.Add(3*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	// Releasing frees the slot.
-	if err := s.Release(r1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Reserve("agrid1", "c3", 4, now, now.Add(time.Hour)); err != nil {
-		t.Fatalf("after release: %v", err)
-	}
-	if err := s.Release(999); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReserveValidation(t *testing.T) {
-	s, v := fixture()
-	now := v.Now()
-	if _, err := s.Reserve("agrid1", "c", 0, now, now.Add(time.Hour)); err == nil {
-		t.Fatal("zero processors accepted")
-	}
-	if _, err := s.Reserve("agrid1", "c", 1, now, now); err == nil {
-		t.Fatal("empty window accepted")
-	}
-	if _, err := s.Reserve("ghost", "c", 1, now, now.Add(time.Hour)); err == nil {
-		t.Fatal("unknown site accepted")
-	}
-}
-
-func TestCommittedAndExpire(t *testing.T) {
-	s, v := fixture()
-	now := v.Now()
-	s.Reserve("agrid1", "c", 3, now, now.Add(time.Hour))
-	s.Reserve("agrid1", "c", 2, now.Add(30*time.Minute), now.Add(90*time.Minute))
-	if got := s.Committed("agrid1", now.Add(45*time.Minute)); got != 5 {
-		t.Fatalf("committed = %d", got)
-	}
-	if got := s.Committed("agrid1", now.Add(80*time.Minute)); got != 2 {
-		t.Fatalf("committed = %d", got)
-	}
-	v.Advance(2 * time.Hour)
-	if n := s.Expire(); n != 2 {
-		t.Fatalf("expired = %d", n)
-	}
-	if s.Active() != 0 {
-		t.Fatal("reservations survived expiry")
-	}
-}
-
-// Property: whatever sequence of reservations succeeds, the committed
-// processors at any sampled instant never exceed the site capacity.
-func TestQuickCapacityNeverExceeded(t *testing.T) {
-	type res struct {
-		Procs    uint8
-		FromMin  uint8
-		LenMin   uint8
-		SampleAt uint8
-	}
-	f := func(ops []res) bool {
-		v := simclock.NewVirtual(time.Time{})
-		s := NewReservations(v)
-		const cap = 8
-		s.RegisterSite(attrs("s", 1000, 1024, cap, 1))
-		base := v.Now()
-		for _, o := range ops {
-			from := base.Add(time.Duration(o.FromMin%120) * time.Minute)
-			to := from.Add(time.Duration(o.LenMin%60+1) * time.Minute)
-			_, _ = s.Reserve("s", "c", int(o.Procs%5)+1, from, to)
-			at := base.Add(time.Duration(o.SampleAt%180) * time.Minute)
-			if s.Committed("s", at) > cap {
-				return false
-			}
-		}
-		// Exhaustive sweep over minute boundaries.
-		for m := 0; m < 181; m++ {
-			if s.Committed("s", base.Add(time.Duration(m)*time.Minute)) > cap {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }

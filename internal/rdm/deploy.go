@@ -419,7 +419,7 @@ func (s *Service) Undeploy(name string) error {
 	if ids := s.Leases.ReleaseByDeployment(name); len(ids) > 0 {
 		s.tel.Counter("glare_rdm_undeploy_leases_released_total").Add(uint64(len(ids)))
 	}
-	s.depCache.Invalidate("dep:" + name)
+	s.depCache.Invalidate(name)
 	return nil
 }
 

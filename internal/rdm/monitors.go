@@ -3,13 +3,14 @@ package rdm
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"glare/internal/activity"
+	"glare/internal/cache"
 	"glare/internal/epr"
 	"glare/internal/mds"
 	"glare/internal/superpeer"
+	"glare/internal/telemetry"
 	"glare/internal/xmlutil"
 )
 
@@ -121,43 +122,44 @@ func (s *Service) loop(interval time.Duration, fn func()) {
 
 // RefreshCaches is one Cache Refresher pass: cached deployments and types
 // whose source LastUpdateTime changed are revived; entries whose source is
-// gone are discarded. Index-style entries (merged lists) age out by TTL.
-// Each pass runs under its own trace span, so the LUT probes it issues
-// carry a correlation ID to the source sites.
+// gone are discarded. Concrete-type lists and per-type deployment indexes
+// are merged answers with no single source and age out by TTL. Each pass
+// runs under its own trace span, so the LUT probes it issues carry a
+// correlation ID to the source sites.
 func (s *Service) RefreshCaches() (revived, discarded int) {
 	sp := s.tel.StartSpan("rdm.RefreshCaches", nil)
-	probe := func(key string, source epr.EPR) (time.Time, error) {
-		switch {
-		case strings.HasPrefix(key, "dep:"), strings.HasPrefix(key, "type:"):
-			return s.probeLUT(context.Background(), sp, source.Address, source.Key)
-		default:
-			// Merged lists have no single source; leave them to TTL.
-			return source.LastUpdateTime, nil
-		}
+	probe := func(_ string, source epr.EPR) (time.Time, error) {
+		return s.probeLUT(context.Background(), sp, source.Address, source.Key)
 	}
-	resolve := func(key string, source epr.EPR) (epr.EPR, *xmlutil.Node, error) {
-		op := "Get"
-		if strings.HasPrefix(key, "type:") {
-			op = "GetType"
-		}
-		resp, err := s.call(context.Background(), sp, source.Address, op, xmlutil.NewNode("Name", source.Key))
-		if err != nil {
-			return epr.EPR{}, nil, err
-		}
-		lut, err := s.probeLUT(context.Background(), sp, source.Address, source.Key)
-		if err != nil {
-			return epr.EPR{}, nil, err
-		}
-		fresh := source
-		fresh.LastUpdateTime = lut
-		return fresh, resp, nil
-	}
-	r1, d1 := s.depCache.Refresh(probe, resolve)
-	r2, d2 := s.typeCache.Refresh(probe, resolve)
+	r1, d1 := s.depCache.Refresh(probe, refetch(s, sp, "Get", activity.DeploymentFromXML))
+	r2, d2 := s.typeCache.Refresh(probe, refetch(s, sp, "GetType", activity.TypeFromXML))
 	revived, discarded = r1+r2, d1+d2
 	sp.SetNote(fmt.Sprintf("revived=%d discarded=%d", revived, discarded))
 	sp.End(nil)
 	return revived, discarded
+}
+
+// refetch is the refresher's re-fetch: call op on the source registry,
+// decode the answer, and stamp the source EPR with its current LUT.
+func refetch[V any](s *Service, sp *telemetry.Span, op string, decode func(*xmlutil.Node) (V, error)) cache.Resolver[V] {
+	return func(_ string, source epr.EPR) (epr.EPR, V, error) {
+		var zero V
+		resp, err := s.call(context.Background(), sp, source.Address, op, xmlutil.NewNode("Name", source.Key))
+		if err != nil {
+			return epr.EPR{}, zero, err
+		}
+		v, err := decode(resp)
+		if err != nil {
+			return epr.EPR{}, zero, err
+		}
+		lut, err := s.probeLUT(context.Background(), sp, source.Address, source.Key)
+		if err != nil {
+			return epr.EPR{}, zero, err
+		}
+		fresh := source
+		fresh.LastUpdateTime = lut
+		return fresh, v, nil
+	}
 }
 
 // CheckIndex is one Index Monitor pass: "It periodically probes the GT4

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"glare/internal/activity"
 	"glare/internal/adr"
 	"glare/internal/atr"
 	"glare/internal/cache"
@@ -174,9 +175,14 @@ type Service struct {
 	scanDelay  time.Duration
 	broker     *wsrf.Broker
 
-	typeCache *cache.Cache
-	depCache  *cache.Cache
-	cacheOff  bool
+	// The two-level cache of remote resources, one instance per value
+	// kind. Values are decoded once where they come off the wire and are
+	// shared read-only with every resolution that hits them.
+	typeCache     *cache.Cache[*activity.Type]       // single types, by name
+	concreteCache *cache.Cache[[]*activity.Type]     // concrete resolutions, by queried name
+	depCache      *cache.Cache[*activity.Deployment] // deployments, by name
+	indexCache    *cache.Cache[[]string]             // deployment names, by concrete type
+	cacheOff      bool                               // fixed at construction
 
 	// degraded counts resolutions that ran with part of the VO
 	// unreachable (the result set may be incomplete or stale).
@@ -272,26 +278,28 @@ func New(cfg Config) (*Service, error) {
 	// all); span durations stay real-time measurements.
 	tel.SetClock(clock.Now)
 	s := &Service{
-		site:        cfg.Site,
-		clock:       clock,
-		client:      cfg.Client,
-		hlc:         hybrid,
-		ATR:         typesReg,
-		ADR:         depsReg,
-		Leases:      lease.NewService(clock),
-		Jobs:        gram.NewManager(cfg.Site, clock),
-		FTP:         ftp,
-		agent:       cfg.Agent,
-		localIndex:  cfg.LocalIndex,
-		groupSize:   cfg.GroupSize,
-		scanDelay:   cfg.ScanDelayPerEntry,
-		broker:      broker,
-		typeCache:   cache.New(clock, cfg.CacheTTL),
-		depCache:    cache.New(clock, cfg.CacheTTL),
-		cacheOff:    cfg.CacheDisabled,
-		deployFiles: cfg.DeployFiles,
-		costs:       cfg.Costs,
-		cogCfg:      cfg.CoG,
+		site:          cfg.Site,
+		clock:         clock,
+		client:        cfg.Client,
+		hlc:           hybrid,
+		ATR:           typesReg,
+		ADR:           depsReg,
+		Leases:        lease.NewService(clock),
+		Jobs:          gram.NewManager(cfg.Site, clock),
+		FTP:           ftp,
+		agent:         cfg.Agent,
+		localIndex:    cfg.LocalIndex,
+		groupSize:     cfg.GroupSize,
+		scanDelay:     cfg.ScanDelayPerEntry,
+		broker:        broker,
+		typeCache:     cache.New[*activity.Type](clock, cfg.CacheTTL),
+		concreteCache: cache.New[[]*activity.Type](clock, cfg.CacheTTL),
+		depCache:      cache.New[*activity.Deployment](clock, cfg.CacheTTL),
+		indexCache:    cache.New[[]string](clock, cfg.CacheTTL),
+		cacheOff:      cfg.CacheDisabled,
+		deployFiles:   cfg.DeployFiles,
+		costs:         cfg.Costs,
+		cogCfg:        cfg.CoG,
 		Load: metrics.NewLoadTrackerOn(tel.Gauge("glare_rdm_run_queue"),
 			5*time.Second, time.Minute),
 		tel:         tel,
@@ -318,16 +326,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Agent != nil {
 		cfg.Agent.SetTelemetry(tel)
 	}
-	s.typeCache.Instrument(
-		tel.Counter("glare_rdm_cache_hits_total", telemetry.L("cache", "types")),
-		tel.Counter("glare_rdm_cache_misses_total", telemetry.L("cache", "types")),
-		tel.Counter("glare_rdm_cache_revived_total", telemetry.L("cache", "types")),
-		tel.Counter("glare_rdm_cache_discarded_total", telemetry.L("cache", "types")))
-	s.depCache.Instrument(
-		tel.Counter("glare_rdm_cache_hits_total", telemetry.L("cache", "deps")),
-		tel.Counter("glare_rdm_cache_misses_total", telemetry.L("cache", "deps")),
-		tel.Counter("glare_rdm_cache_revived_total", telemetry.L("cache", "deps")),
-		tel.Counter("glare_rdm_cache_discarded_total", telemetry.L("cache", "deps")))
 	// Stale retention backs graceful degradation: when a peer is down,
 	// resolution serves expired entries (marked degraded) instead of
 	// failing.
@@ -335,12 +333,12 @@ func New(cfg Config) (*Service, error) {
 	if staleFor == 0 {
 		staleFor = DefaultStaleFor
 	}
-	if staleFor > 0 {
-		s.typeCache.SetStaleFor(staleFor)
-		s.depCache.SetStaleFor(staleFor)
-		s.typeCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "types")))
-		s.depCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "deps")))
-	}
+	// The type and concrete caches report as the "types" family, the
+	// deployment and index caches as "deps".
+	setupCache(s.typeCache, tel, "types", staleFor)
+	setupCache(s.concreteCache, tel, "types", staleFor)
+	setupCache(s.depCache, tel, "deps", staleFor)
+	setupCache(s.indexCache, tel, "deps", staleFor)
 	s.degraded = tel.Counter("glare_rdm_resolve_degraded_total")
 	s.syncPulled = tel.Counter("glare_sync_entries_pulled_total")
 	// Clock-skew surveillance: every envelope exchange lets the HLC compare
@@ -422,20 +420,24 @@ func (s *Service) Clock() simclock.Clock { return s.clock }
 // receives, so any message exchange bounds inter-site divergence.
 func (s *Service) HLC() *hlc.Clock { return s.hlc }
 
-// SetCacheDisabled toggles local caching (Fig. 12 configurations).
-func (s *Service) SetCacheDisabled(off bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cacheOff = off
-	if off {
-		s.typeCache.Clear()
-		s.depCache.Clear()
+// setupCache mirrors one cache's counters onto the site's telemetry under
+// the family label and enables stale retention when staleFor > 0.
+func setupCache[V any](c *cache.Cache[V], tel *telemetry.Telemetry, family string, staleFor time.Duration) {
+	l := telemetry.L("cache", family)
+	c.Instrument(
+		tel.Counter("glare_rdm_cache_hits_total", l),
+		tel.Counter("glare_rdm_cache_misses_total", l),
+		tel.Counter("glare_rdm_cache_revived_total", l),
+		tel.Counter("glare_rdm_cache_discarded_total", l))
+	if staleFor > 0 {
+		c.SetStaleFor(staleFor)
+		c.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", l))
 	}
 }
 
 // CacheStats reports the combined type+deployment cache statistics.
 func (s *Service) CacheStats() (types, deps cache.Stats) {
-	return s.typeCache.Stats(), s.depCache.Stats()
+	return s.typeCache.Stats().Add(s.concreteCache.Stats()), s.depCache.Stats().Add(s.indexCache.Stats())
 }
 
 // Stop terminates background monitors and flushes/closes the durable

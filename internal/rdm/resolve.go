@@ -82,20 +82,15 @@ func (s *Service) RegisterDeployment(d *activity.Deployment) (epr.EPR, error) {
 // it — deploy on demand. The returned deployments are ready for selection
 // by a scheduler.
 func (s *Service) GetDeployments(typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
-	return s.GetDeploymentsSpan(nil, typeName, method, allowDeploy)
+	return s.GetDeploymentsCtx(context.Background(), nil, typeName, method, allowDeploy)
 }
 
-// GetDeploymentsSpan is GetDeployments running under an existing trace
-// span; the transport layer passes the server-side span of the incoming
-// call here so the whole VO-wide resolution shares one correlation ID.
+// GetDeploymentsCtx is GetDeployments running under the caller's context
+// and trace span: ctx carries the propagated deadline, so a resolution
+// forwarded across sites works against the remaining budget rather than
+// each hop's own timeout, and parent (the server-side span of the
+// incoming call) gives the whole VO-wide resolution one correlation ID.
 // A nil parent starts a fresh trace.
-func (s *Service) GetDeploymentsSpan(parent *telemetry.Span, typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
-	return s.GetDeploymentsCtx(context.Background(), parent, typeName, method, allowDeploy)
-}
-
-// GetDeploymentsCtx is the fullest entry point: ctx carries the caller's
-// propagated deadline, so a resolution forwarded across sites works
-// against the remaining budget rather than each hop's own timeout.
 func (s *Service) GetDeploymentsCtx(ctx context.Context, parent *telemetry.Span, typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -117,12 +112,18 @@ func (s *Service) getDeployments(ctx context.Context, sp *telemetry.Span, typeNa
 	if len(concrete) == 0 {
 		return nil, fmt.Errorf("rdm: no activity type matching %q in the VO", typeName)
 	}
-	var out []*activity.Deployment
+	// One merged set across all concrete types; on a name clash the
+	// earlier concrete type's deployment wins.
+	all := map[string]*activity.Deployment{}
 	for _, ct := range concrete {
-		out = append(out, s.resolveDeployments(ctx, sp, ct.Name)...)
+		for name, d := range s.resolveDeployments(ctx, sp, ct.Name) {
+			if _, dup := all[name]; !dup {
+				all[name] = d
+			}
+		}
 	}
-	if len(out) > 0 {
-		return dedupeDeployments(out), nil
+	if len(all) > 0 {
+		return sortedDeployments(all), nil
 	}
 	if !allowDeploy {
 		return nil, fmt.Errorf("rdm: no deployments of %q and on-demand deployment disabled", typeName)
@@ -156,7 +157,8 @@ func (s *Service) getDeployments(ctx context.Context, sp *telemetry.Span, typeNa
 
 // ResolveConcrete resolves a type name (abstract or concrete, per Fig. 2)
 // to concrete types, looking successively at the local registry, the local
-// cache, the peer group, and — through the super-peer — the wider VO.
+// cache, the peer group, and — through the super-peer — the wider VO. The
+// returned types may be shared with the cache and must not be modified.
 func (s *Service) ResolveConcrete(typeName string) ([]*activity.Type, error) {
 	return s.resolveConcrete(context.Background(), nil, typeName)
 }
@@ -173,9 +175,9 @@ func (s *Service) resolveConcrete(ctx context.Context, sp *telemetry.Span, typeN
 	}
 	// 2. Cache.
 	if !s.cacheOff {
-		if e, ok := s.typeCache.Get("concrete:" + typeName); ok {
+		if e, ok := s.concreteCache.Get(typeName); ok {
 			s.resolveSrc("cache").Inc()
-			return typesFromList(e.Doc), nil
+			return e.Value, nil
 		}
 	}
 	// 3. Peer group (peer-to-peer interaction within the group).
@@ -210,9 +212,9 @@ func (s *Service) resolveConcrete(ctx context.Context, sp *telemetry.Span, typeN
 	if unreachable {
 		s.degraded.Inc()
 		if !s.cacheOff {
-			if e, ok := s.typeCache.GetStale("concrete:" + typeName); ok {
+			if e, ok := s.concreteCache.GetStale(typeName); ok {
 				s.resolveSrc("stale").Inc()
-				return typesFromList(e.Doc), nil
+				return e.Value, nil
 			}
 		}
 	}
@@ -308,15 +310,12 @@ func (s *Service) groupConcreteOf(ctx context.Context, sp *telemetry.Span, typeN
 	return nil
 }
 
-// ResolveDeployments collects the deployments of a concrete type from the
-// whole VO: local registry, cache, peer group, super-peer fan-out. Results
-// are merged (Fig. 12 spreads deployments across sites and expects the
-// full list back).
-func (s *Service) ResolveDeployments(typeName string) []*activity.Deployment {
-	return s.resolveDeployments(context.Background(), nil, typeName)
-}
-
-func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, typeName string) []*activity.Deployment {
+// resolveDeployments collects the deployments of a concrete type from the
+// whole VO, keyed by name: local registry, cache, peer group, super-peer
+// fan-out. Results are merged (Fig. 12 spreads deployments across sites
+// and expects the full list back). Cached deployments are returned shared,
+// not copied.
+func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, typeName string) map[string]*activity.Deployment {
 	merged := map[string]*activity.Deployment{}
 	for _, d := range s.ADR.ByType(typeName) {
 		merged[d.Name] = d
@@ -324,18 +323,16 @@ func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, ty
 	// Cache: a per-type index of deployment names, each name its own
 	// cached entry (so LUT-based revival works per deployment).
 	if !s.cacheOff {
-		if idx, ok := s.depCache.Get("index:" + typeName); ok {
-			for _, n := range idx.Doc.All("Name") {
-				if e, ok := s.depCache.Get("dep:" + n.Text); ok {
-					if d, err := activity.DeploymentFromXML(e.Doc); err == nil {
-						if _, dup := merged[d.Name]; !dup {
-							merged[d.Name] = d
-						}
+		if idx, ok := s.indexCache.Get(typeName); ok {
+			for _, n := range idx.Value {
+				if e, ok := s.depCache.Get(n); ok {
+					if _, dup := merged[n]; !dup {
+						merged[n] = e.Value
 					}
 				}
 			}
 			if len(merged) > 0 {
-				return sortedDeployments(merged)
+				return merged
 			}
 		}
 	}
@@ -375,17 +372,17 @@ func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, ty
 		// prefer fresh alternatives.
 		s.degraded.Inc()
 		if len(merged) == 0 && !s.cacheOff {
-			if idx, ok := s.depCache.GetStale("index:" + typeName); ok {
-				for _, n := range idx.Doc.All("Name") {
-					e, ok := s.depCache.GetStale("dep:" + n.Text)
+			if idx, ok := s.indexCache.GetStale(typeName); ok {
+				for _, n := range idx.Value {
+					e, ok := s.depCache.GetStale(n)
 					if !ok {
 						continue
 					}
-					if d, err := activity.DeploymentFromXML(e.Doc); err == nil {
+					if _, dup := merged[n]; !dup {
+						// Mark a copy: the cached value is shared.
+						d := *e.Value
 						d.Degraded = true
-						if _, dup := merged[d.Name]; !dup {
-							merged[d.Name] = d
-						}
+						merged[n] = &d
 					}
 				}
 			}
@@ -395,17 +392,16 @@ func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, ty
 			}
 		}
 	}
-	out := sortedDeployments(merged)
 	// Do not re-index a stale-served result: that would stamp outdated
 	// data as fresh and hide the degradation from the next resolution.
-	if !s.cacheOff && len(out) > 0 && !staleServed {
-		idx := xmlutil.NewNode("Index")
-		for _, d := range out {
-			idx.Elem("Name", d.Name)
+	if !s.cacheOff && len(merged) > 0 && !staleServed {
+		names := make([]string, 0, len(merged))
+		for n := range merged {
+			names = append(names, n)
 		}
-		s.depCache.Put("index:"+typeName, epr.EPR{}, idx)
+		s.indexCache.Put(typeName, epr.EPR{}, names)
 	}
-	return out
+	return merged
 }
 
 // remoteDeployments asks one peer for its local deployments. An
@@ -532,13 +528,9 @@ func (s *Service) cacheTypes(queryName string, source superpeer.SiteInfo, types 
 	if s.cacheOff {
 		return
 	}
-	list := xmlutil.NewNode("Types")
-	for _, t := range types {
-		list.Add(t.ToXML())
-	}
 	src := epr.New(source.ServiceURL(atr.ServiceName), atr.KeyName, queryName)
 	src.LastUpdateTime = s.clock.Now()
-	s.typeCache.Put("concrete:"+queryName, src, list)
+	s.concreteCache.Put(queryName, src, types)
 }
 
 func (s *Service) cacheDeployment(source superpeer.SiteInfo, d *activity.Deployment) {
@@ -547,7 +539,7 @@ func (s *Service) cacheDeployment(source superpeer.SiteInfo, d *activity.Deploym
 	}
 	src := epr.New(source.ServiceURL(adr.ServiceName), adr.KeyName, d.Name)
 	src.LastUpdateTime = s.clock.Now()
-	s.depCache.Put("dep:"+d.Name, src, d.ToXML())
+	s.depCache.Put(d.Name, src, d)
 }
 
 // ----------------------------------------------------------------- helpers
@@ -599,17 +591,8 @@ func sortedDeployments(m map[string]*activity.Deployment) []*activity.Deployment
 	return out
 }
 
-func dedupeDeployments(in []*activity.Deployment) []*activity.Deployment {
-	m := map[string]*activity.Deployment{}
-	for _, d := range in {
-		if _, dup := m[d.Name]; !dup {
-			m[d.Name] = d
-		}
-	}
-	return sortedDeployments(m)
-}
-
-// LookupType finds a single named type locally, in cache, or remotely.
+// LookupType finds a single named type locally, in cache, or remotely. The
+// returned type may be shared with the cache and must not be modified.
 func (s *Service) LookupType(name string) (*activity.Type, bool) {
 	return s.lookupType(context.Background(), nil, name)
 }
@@ -619,10 +602,8 @@ func (s *Service) lookupType(ctx context.Context, sp *telemetry.Span, name strin
 		return t, true
 	}
 	if !s.cacheOff {
-		if e, ok := s.typeCache.Get("type:" + name); ok {
-			if t, err := activity.TypeFromXML(e.Doc); err == nil {
-				return t, true
-			}
+		if e, ok := s.typeCache.Get(name); ok {
+			return e.Value, true
 		}
 	}
 	view := s.view()
@@ -646,7 +627,7 @@ func (s *Service) lookupType(ctx context.Context, sp *telemetry.Span, name strin
 		if !s.cacheOff {
 			src := epr.New(peer.ServiceURL(atr.ServiceName), atr.KeyName, name)
 			src.LastUpdateTime = s.clock.Now()
-			s.typeCache.Put("type:"+name, src, resp.Clone())
+			s.typeCache.Put(name, src, t)
 		}
 		return t, true
 	}

@@ -3,6 +3,7 @@ package rdm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"glare/internal/activity"
@@ -115,7 +116,7 @@ func (s *Service) syncWith(sp *telemetry.Span, target superpeer.SiteInfo) int {
 		if local, ok := s.ATR.LUT(name); ok && !hlc.Newer(lut, target.Name, local, s.selfName()) {
 			continue // we own a copy that orders same-or-newer (HLC, site)
 		}
-		if e, ok := s.typeCache.Peek("type:" + name); ok &&
+		if e, ok := s.typeCache.Peek(name); ok &&
 			!hlc.Newer(lut, target.Name, e.Source.LastUpdateTime, e.Source.Extra["OriginSite"]) {
 			continue // cache already carries this version
 		}
@@ -123,18 +124,20 @@ func (s *Service) syncWith(sp *telemetry.Span, target superpeer.SiteInfo) int {
 		if err != nil || doc == nil {
 			continue
 		}
+		t, err := activity.TypeFromXML(doc)
+		if err != nil {
+			continue
+		}
 		src := epr.New(target.ServiceURL(atr.ServiceName), atr.KeyName, name)
 		src.LastUpdateTime = lut
 		// Record where the entry came from: read repair and operators need
 		// the provenance of pulled copies, not just their freshness.
 		src.Extra = map[string]string{"OriginSite": target.Name}
-		if !s.typeCache.PutIfNewer("type:"+name, src, doc.Clone()) {
+		if !s.typeCache.PutIfNewer(name, src, t) {
 			continue
 		}
-		if t, terr := activity.TypeFromXML(doc); terr == nil && !t.Abstract {
-			list := xmlutil.NewNode("Types")
-			list.Add(doc.Clone())
-			s.typeCache.PutIfNewer("concrete:"+name, src, list)
+		if !t.Abstract {
+			s.concreteCache.PutIfNewer(name, src, []*activity.Type{t})
 		}
 		pulled++
 		s.syncPulled.Inc()
@@ -150,7 +153,7 @@ func (s *Service) syncWith(sp *telemetry.Span, target superpeer.SiteInfo) int {
 		if local, ok := s.ADR.LUT(name); ok && !hlc.Newer(lut, target.Name, local, s.selfName()) {
 			continue // we own a copy that orders same-or-newer (HLC, site)
 		}
-		if e, ok := s.depCache.Peek("dep:" + name); ok &&
+		if e, ok := s.depCache.Peek(name); ok &&
 			!hlc.Newer(lut, target.Name, e.Source.LastUpdateTime, e.Source.Extra["OriginSite"]) {
 			continue // cache already carries this version
 		}
@@ -158,10 +161,14 @@ func (s *Service) syncWith(sp *telemetry.Span, target superpeer.SiteInfo) int {
 		if err != nil || doc == nil {
 			continue
 		}
+		d, err := activity.DeploymentFromXML(doc)
+		if err != nil {
+			continue
+		}
 		src := epr.New(target.ServiceURL(adr.ServiceName), adr.KeyName, name)
 		src.LastUpdateTime = lut
 		src.Extra = map[string]string{"OriginSite": target.Name}
-		if !s.depCache.PutIfNewer("dep:"+name, src, doc.Clone()) {
+		if !s.depCache.PutIfNewer(name, src, d) {
 			continue
 		}
 		if typeName != "" {
@@ -179,20 +186,17 @@ func (s *Service) syncWith(sp *telemetry.Span, target superpeer.SiteInfo) int {
 
 // mergeDepIndex folds one deployment name into the cached per-type index
 // that resolveDeployments consults, so a synced deployment is reachable
-// before the next VO-wide fan-out rebuilds the list.
+// before the next VO-wide fan-out rebuilds the list. The cached index is
+// shared with readers, so the merge stores a new slice.
 func (s *Service) mergeDepIndex(typeName, depName string) {
-	key := "index:" + typeName
-	idx := xmlutil.NewNode("Index")
-	if e, ok := s.depCache.Peek(key); ok {
-		for _, n := range e.Doc.All("Name") {
-			if n.Text == depName {
-				return
-			}
-			idx.Elem("Name", n.Text)
+	var names []string
+	if e, ok := s.indexCache.Peek(typeName); ok {
+		if slices.Contains(e.Value, depName) {
+			return
 		}
+		names = e.Value
 	}
-	idx.Elem("Name", depName)
-	s.depCache.Put(key, epr.EPR{}, idx)
+	s.indexCache.Put(typeName, epr.EPR{}, append(slices.Clip(names), depName))
 }
 
 // reindexLocalTypes re-registers every locally owned type with the site's

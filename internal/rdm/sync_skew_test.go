@@ -109,7 +109,7 @@ func TestSyncConvergesUnderTenMinuteSkew(t *testing.T) {
 	// total order and +10m beats −10m. Everyone must agree.
 	wantWinner := fast.info.Name
 	for _, s := range []*syncSite{observer, slow} {
-		e, ok := s.svc.typeCache.Peek("type:Contested")
+		e, ok := s.svc.typeCache.Peek("Contested")
 		if !ok {
 			t.Fatalf("%s holds no cached copy of the contested type", s.info.Name)
 		}

@@ -18,6 +18,7 @@ import (
 // syncSite is one networked RDM stack for anti-entropy tests.
 type syncSite struct {
 	svc   *Service
+	srv   *transport.Server
 	agent *superpeer.Agent
 	info  superpeer.SiteInfo
 	tel   *telemetry.Telemetry
@@ -55,7 +56,7 @@ func newSyncSites(t *testing.T, n int) []*syncSite {
 		}
 		t.Cleanup(svc.Stop)
 		svc.Mount(srv)
-		sites = append(sites, &syncSite{svc: svc, agent: agent, info: info, tel: tel})
+		sites = append(sites, &syncSite{svc: svc, srv: srv, agent: agent, info: info, tel: tel})
 		infos = append(infos, info)
 	}
 	// Every site reigns over itself; all of them form the super-group.
@@ -102,10 +103,10 @@ func TestSyncRegistriesPullsNewerEntries(t *testing.T) {
 	// The pulled entries landed in the two-level cache (not the local
 	// registries: site B stays the owner), so ordinary resolution finds
 	// them without any further network round.
-	if _, ok := a.svc.typeCache.Peek("type:SyncedType"); !ok {
+	if _, ok := a.svc.typeCache.Peek("SyncedType"); !ok {
 		t.Fatal("type not cached")
 	}
-	if _, ok := a.svc.depCache.Peek("dep:synced-dep"); !ok {
+	if _, ok := a.svc.depCache.Peek("synced-dep"); !ok {
 		t.Fatal("deployment not cached")
 	}
 	if a.svc.ATR.Len() != 0 || a.svc.ADR.Len() != 0 {
@@ -152,12 +153,12 @@ func TestSyncRegistriesSkipsOlderEntries(t *testing.T) {
 	if pulled := b.svc.SyncRegistries(); pulled != 1 {
 		t.Fatalf("older side pulled %d entries, want 1", pulled)
 	}
-	e, ok := b.svc.typeCache.Peek("type:Contested")
+	e, ok := b.svc.typeCache.Peek("Contested")
 	if !ok {
 		t.Fatal("newer version not cached on the older side")
 	}
-	if ty, err := activity.TypeFromXML(e.Doc); err != nil || ty.Artifact != "newer" {
-		t.Fatalf("cached version = %+v (%v)", e.Doc, err)
+	if ty := e.Value; ty.Artifact != "newer" {
+		t.Fatalf("cached version = %+v", ty)
 	}
 }
 

@@ -68,17 +68,13 @@ const (
 // <Body/>.
 type Handler func(body *xmlutil.Node) (*xmlutil.Node, error)
 
-// TracedHandler is a Handler that additionally receives the server span
-// opened for the incoming call (nil when the server has no telemetry).
-// Handlers that make further service calls pass the span down so child
-// spans on other sites link into the same trace.
-type TracedHandler func(sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error)
-
-// CtxHandler is the fullest handler form: it additionally receives the
+// CtxHandler is the fullest handler form. It additionally receives the
 // request context, which carries the caller's propagated deadline (see
-// the Deadline envelope element) and the HTTP request's cancellation.
-// Handlers that forward calls pass ctx down through Client.CallCtx so
-// every hop shrinks the remaining budget instead of resetting it.
+// the Deadline envelope element) and the HTTP request's cancellation, and
+// the server span opened for the incoming call (nil when the server has no
+// telemetry). Handlers that forward calls pass both down through
+// Client.CallCtx, so every hop shrinks the remaining budget instead of
+// resetting it and child spans on other sites link into the same trace.
 type CtxHandler func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error)
 
 // Fault is an application-level error returned by a remote service.
@@ -177,13 +173,6 @@ func (s *Server) Register(service, operation string, h Handler) {
 	})
 }
 
-// RegisterTraced mounts a span-aware operation handler on a service.
-func (s *Server) RegisterTraced(service, operation string, h TracedHandler) {
-	s.RegisterCtx(service, operation, func(_ context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-		return h(sp, body)
-	})
-}
-
 // RegisterCtx mounts a context-aware operation handler on a service.
 func (s *Server) RegisterCtx(service, operation string, h CtxHandler) {
 	s.mu.Lock()
@@ -200,13 +189,6 @@ func (s *Server) RegisterCtx(service, operation string, h CtxHandler) {
 func (s *Server) RegisterService(service string, ops map[string]Handler) {
 	for op, h := range ops {
 		s.Register(service, op, h)
-	}
-}
-
-// RegisterTracedService mounts a whole span-aware operation table at once.
-func (s *Server) RegisterTracedService(service string, ops map[string]TracedHandler) {
-	for op, h := range ops {
-		s.RegisterTraced(service, op, h)
 	}
 }
 
@@ -299,8 +281,14 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusNotFound, fmt.Sprintf("no such service %q", service))
 		return
 	}
-	env, err := xmlutil.Parse(io.LimitReader(r.Body, 16<<20))
+	env, err := xmlutil.Parse(http.MaxBytesReader(w, r.Body, MaxEnvelopeBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeFault(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request envelope exceeds the %d-byte limit", MaxEnvelopeBytes))
+			return
+		}
 		writeFault(w, http.StatusBadRequest, "malformed envelope: "+err.Error())
 		return
 	}
@@ -483,6 +471,16 @@ func writeOverloadFault(w http.ResponseWriter, reason string) {
 	w.WriteHeader(http.StatusServiceUnavailable)
 	_, _ = io.WriteString(w, out.String())
 }
+
+// MaxEnvelopeBytes bounds one envelope in either direction. A server
+// answers a larger request with a 413 fault naming the limit; a client
+// reading a larger response fails the call with ErrResponseTooLarge.
+const MaxEnvelopeBytes = 16 << 20
+
+// ErrResponseTooLarge is returned (wrapped) by calls whose response
+// envelope exceeds MaxEnvelopeBytes. The site did answer, so the error is
+// neither Unavailable nor retried.
+var ErrResponseTooLarge = fmt.Errorf("transport: response envelope exceeds the %d-byte limit", MaxEnvelopeBytes)
 
 // DefaultCallTimeout bounds one Call when the client was not configured
 // otherwise, so a hung site cannot stall discovery forever. On-demand
@@ -698,9 +696,9 @@ func (c *Client) call(ctx context.Context, sp *telemetry.Span, address, operatio
 
 // exchange runs the attempt loop for one logical call: breaker admission,
 // deadline accounting, the POST itself, failure classification, and
-// backoff between retries. Errors escaping here are always *Unavailable;
-// Faults surface later from the parsed envelope (and count as transport
-// successes — the site is up).
+// backoff between retries. Errors escaping here are *Unavailable, except
+// ErrResponseTooLarge; Faults surface later from the parsed envelope. Both
+// count as transport successes — the site is up.
 //
 // Ordering inside the loop matters for the fault-tolerance economics:
 // the breaker is consulted before the retry budget, so an open breaker's
@@ -752,13 +750,13 @@ func (c *Client) exchange(ctx context.Context, address, operation string, env *x
 			}
 		}
 		out, err := c.post(ctx, address, env, attemptTimeout)
-		if err == nil {
+		if err == nil || errors.Is(err, ErrResponseTooLarge) {
 			if br != nil {
 				br.onSuccess(probe)
 				c.tel.Gauge("glare_transport_breaker_state", telemetry.L("dest", dest)).Set(int64(br.current()))
 			}
 			c.budget.Deposit()
-			return out, nil
+			return out, err
 		}
 		lastErr = err
 		if br != nil {
@@ -819,8 +817,12 @@ func (c *Client) post(ctx context.Context, address string, env *xmlutil.Node, ti
 		return nil, fmt.Errorf("transport: call %s %s: %w", address, operation, err)
 	}
 	defer resp.Body.Close()
-	out, err := xmlutil.Parse(io.LimitReader(resp.Body, 16<<20))
+	out, err := xmlutil.Parse(http.MaxBytesReader(nil, resp.Body, MaxEnvelopeBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, fmt.Errorf("transport: call %s %s: %w", address, operation, ErrResponseTooLarge)
+		}
 		return nil, fmt.Errorf("transport: call %s %s: bad response: %w", address, operation, err)
 	}
 	return out, nil
@@ -845,7 +847,7 @@ func (c *Client) Get(url string) (string, error) {
 		return "", fmt.Errorf("transport: get %s: %w", url, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, MaxEnvelopeBytes))
 	if err != nil {
 		return "", fmt.Errorf("transport: get %s: %w", url, err)
 	}

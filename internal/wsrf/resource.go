@@ -179,16 +179,6 @@ func (h *Home) Create(key string, doc *xmlutil.Node) (*Resource, error) {
 	return r, nil
 }
 
-// CreateOrReplace adds a resource, replacing any existing one with the key.
-func (h *Home) CreateOrReplace(key string, doc *xmlutil.Node) *Resource {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	now := h.now()
-	r := &Resource{key: key, doc: doc, created: now, lastUpdate: now}
-	h.resources[key] = r
-	return r
-}
-
 // Restore installs a resource with explicit timestamps, replacing any
 // existing resource with the key. It is the crash-recovery path: replay
 // must reproduce the journaled LastUpdate exactly (cache revival and
