@@ -700,7 +700,8 @@ func (c *Client) SyncRegistries() int { return c.svc.SyncRegistries() }
 // Types lists the activity types registered on this site.
 func (c *Client) Types() []string { return c.svc.ATR.Names() }
 
-// Deployments lists the deployments registered on this site.
+// Deployments lists the deployments registered on this site. They are
+// shared with the registry and must not be modified.
 func (c *Client) Deployments() []*Deployment { return c.svc.ADR.All() }
 
 // StoreStatus reports the site's durable-store summary; ok is false on

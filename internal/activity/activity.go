@@ -10,6 +10,9 @@ package activity
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,6 +116,25 @@ func (t *Type) Validate() error {
 	return nil
 }
 
+// Clone returns a deep copy of t, so a registry can keep a value its
+// caller can no longer change.
+func (t *Type) Clone() *Type {
+	c := *t
+	c.Base = slices.Clone(t.Base)
+	c.Dependencies = slices.Clone(t.Dependencies)
+	if t.Functions != nil {
+		c.Functions = make([]Function, len(t.Functions))
+		for i, f := range t.Functions {
+			c.Functions[i] = Function{Name: f.Name, Inputs: slices.Clone(f.Inputs), Outputs: slices.Clone(f.Outputs)}
+		}
+	}
+	if t.Installation != nil {
+		inst := *t.Installation
+		c.Installation = &inst
+	}
+	return &c
+}
+
 // ToXML renders the type as a registry property document (Fig. 9's
 // ActivityTypeEntry, extended with the full model).
 func (t *Type) ToXML() *xmlutil.Node {
@@ -161,7 +183,7 @@ func (t *Type) ToXML() *xmlutil.Node {
 		if inst.Constraints.Arch != "" {
 			c.Elem("arch", inst.Constraints.Arch)
 		}
-		if inst.DeployFileURL != "" {
+		if inst.DeployFileURL != "" || inst.DeployFileMD5 != "" {
 			df := in.Elem("DeployFile")
 			df.SetAttr("url", inst.DeployFileURL)
 			if inst.DeployFileMD5 != "" {
@@ -295,6 +317,14 @@ func (d *Deployment) Validate() error {
 	return nil
 }
 
+// Clone returns a copy of d that shares nothing mutable with it, so a
+// registry can keep a value its caller can no longer change.
+func (d *Deployment) Clone() *Deployment {
+	c := *d
+	c.Env = maps.Clone(d.Env)
+	return &c
+}
+
 // ToXML renders the deployment document (paper Fig. 7).
 func (d *Deployment) ToXML() *xmlutil.Node {
 	n := xmlutil.NewNode("ActivityDeployment")
@@ -349,26 +379,35 @@ func DeploymentFromXML(n *xmlutil.Node) (*Deployment, error) {
 		Type:     n.AttrOr("type", ""),
 		Kind:     DeploymentKind(n.AttrOr("category", string(KindExecutable))),
 		Site:     n.ChildText("Site"),
-		Path:     n.ChildText("Path"),
-		Home:     n.ChildText("Home"),
-		Address:  n.ChildText("Address"),
 		Degraded: n.AttrOr("degraded", "") == "true",
 	}
+	// Read only the locating fields ToXML writes for the kind, so a decoded
+	// deployment re-encodes and decodes to itself.
+	switch d.Kind {
+	case KindExecutable:
+		d.Path = n.ChildText("Path")
+		d.Home = n.ChildText("Home")
+	case KindService:
+		d.Address = n.ChildText("Address")
+	}
 	if envN := n.First("Environment"); envN != nil {
-		d.Env = map[string]string{}
 		for _, e := range envN.All("Env") {
+			if d.Env == nil {
+				d.Env = map[string]string{}
+			}
 			d.Env[e.AttrOr("name", "")] = e.AttrOr("value", "")
 		}
 	}
 	if m := n.First("Metrics"); m != nil {
-		if ms, err := strconv.ParseInt(m.ChildText("LastExecutionTimeMS"), 10, 64); err == nil {
+		const maxMS = math.MaxInt64 / int64(time.Millisecond)
+		if ms, err := strconv.ParseInt(m.ChildText("LastExecutionTimeMS"), 10, 64); err == nil && ms >= -maxMS && ms <= maxMS {
 			d.Metrics.LastExecutionTime = time.Duration(ms) * time.Millisecond
 		}
 		d.Metrics.LastReturnCode, _ = strconv.Atoi(m.ChildText("LastReturnCode"))
 		d.Metrics.Invocations, _ = strconv.Atoi(m.ChildText("Invocations"))
 		if ts := m.ChildText("LastInvocation"); ts != "" {
 			if t, err := time.Parse(time.RFC3339Nano, ts); err == nil {
-				d.Metrics.LastInvocation = t
+				d.Metrics.LastInvocation = t.UTC()
 			}
 		}
 	}

@@ -29,22 +29,12 @@ const KeyName = "ActivityDeploymentKey"
 // ServiceName is the transport mount point.
 const ServiceName = "ActivityDeploymentRegistry"
 
-// Journal receives every registry mutation for durable replay (the
-// write-ahead log of internal/store satisfies it). Implementations must
-// be safe for concurrent use; nil means no persistence.
-type Journal interface {
-	RecordPut(key string, doc *xmlutil.Node, lut, term time.Time)
-	RecordDelete(key string)
-}
-
 // Registry is one site's Activity Deployment Registry.
 type Registry struct {
-	home    *wsrf.Home
+	home    *wsrf.Home[*activity.Deployment]
 	types   *atr.Registry
 	broker  *wsrf.Broker
-	clock   simclock.Clock
-	stamp   func() time.Time // ordering-stamp source; nil = clock.Now
-	journal Journal
+	journal atr.Journal
 
 	// Hot-path counters; nil (no-op) until SetTelemetry is called.
 	registers, byType, removes *telemetry.Counter
@@ -52,23 +42,25 @@ type Registry struct {
 
 // New creates a deployment registry bound to the site's type registry.
 func New(serviceURL string, types *atr.Registry, clock simclock.Clock, broker *wsrf.Broker) *Registry {
-	if clock == nil {
-		clock = simclock.Real
-	}
 	if broker == nil {
 		broker = wsrf.NewBroker(clock)
 	}
 	r := &Registry{
-		home:   wsrf.NewHome(serviceURL, KeyName, clock),
+		home:   wsrf.NewHome[*activity.Deployment](serviceURL, KeyName, clock),
 		types:  types,
 		broker: broker,
-		clock:  clock,
 	}
+	// However a deployment resource goes — Remove, an expiry sweep,
+	// ExpireByType — its EPR leaves the type resource with it, so dead refs
+	// never count against MaxDeployments or toward MinDeployments.
+	r.home.OnDestroy(func(res *wsrf.Resource[*activity.Deployment]) {
+		types.RemoveDeploymentRef(res.Value().Type, res.Key())
+	})
 	return r
 }
 
 // Home exposes the resource home.
-func (r *Registry) Home() *wsrf.Home { return r.home }
+func (r *Registry) Home() *wsrf.Home[*activity.Deployment] { return r.home }
 
 // SetTelemetry binds the registry's hot-path counters to a site's
 // telemetry registry. Call during site assembly, before serving traffic.
@@ -80,35 +72,22 @@ func (r *Registry) SetTelemetry(tel *telemetry.Telemetry) {
 
 // SetJournal binds the durability journal; call during site assembly,
 // before serving traffic.
-func (r *Registry) SetJournal(j Journal) { r.journal = j }
+func (r *Registry) SetJournal(j atr.Journal) { r.journal = j }
 
 // SetStamp binds the source of LastUpdateTime stamps — the site's hybrid
 // logical clock — so cross-site newest-wins comparisons (anti-entropy,
 // replication) survive wall-clock skew. Call during site assembly, before
 // serving traffic. Expiry sweeps stay on the physical clock.
-func (r *Registry) SetStamp(fn func() time.Time) {
-	r.stamp = fn
-	r.home.SetStamp(fn)
-}
-
-// now returns the next ordering stamp.
-func (r *Registry) now() time.Time {
-	if r.stamp != nil {
-		return r.stamp()
-	}
-	return r.clock.Now()
-}
+func (r *Registry) SetStamp(fn func() time.Time) { r.home.SetStamp(fn) }
 
 // journalPut journals a deployment's current document and timestamps.
 func (r *Registry) journalPut(name string) {
 	if r.journal == nil {
 		return
 	}
-	res := r.home.Find(name)
-	if res == nil {
-		return
+	if res := r.home.Find(name); res != nil {
+		r.journal.RecordPut(name, res.Value().ToXML(), res.LastUpdate(), res.TerminationTime())
 	}
-	r.journal.RecordPut(name, res.Document(), res.LastUpdate(), res.TerminationTime())
 }
 
 func (r *Registry) journalDelete(name string) {
@@ -118,19 +97,28 @@ func (r *Registry) journalDelete(name string) {
 }
 
 // Restore re-installs a journaled deployment resource during crash
-// recovery, bypassing validation, dynamic type registration, counters and
+// recovery, bypassing dynamic type registration, counters and
 // notifications: the type resource's DeploymentRefs are replayed from the
-// type registry's own journal, so no cross-registry fixup runs here.
-func (r *Registry) Restore(name string, doc *xmlutil.Node, lut, term time.Time) {
-	r.home.Restore(name, doc, lut, term)
+// type registry's own journal, so no cross-registry fixup runs here. A
+// document that does not decode is not installed.
+func (r *Registry) Restore(name string, doc *xmlutil.Node, lut, term time.Time) error {
+	d, err := activity.DeploymentFromXML(doc)
+	if err != nil {
+		return err
+	}
+	r.home.Restore(name, d, lut, term)
+	return nil
 }
 
 // Adopt installs a replicated deployment entry as locally owned: placed
 // like Restore, journaled like a registration, so a promoted replica
 // survives this site's own restarts too.
-func (r *Registry) Adopt(name string, doc *xmlutil.Node, lut, term time.Time) {
-	r.Restore(name, doc, lut, term)
+func (r *Registry) Adopt(name string, doc *xmlutil.Node, lut, term time.Time) error {
+	if err := r.Restore(name, doc, lut, term); err != nil {
+		return err
+	}
 	r.journalPut(name)
+	return nil
 }
 
 // Timestamps returns a deployment resource's LastUpdateTime and
@@ -145,6 +133,7 @@ func (r *Registry) Timestamps(name string) (lut, term time.Time, ok bool) {
 
 // Register records a deployment. If the concrete type is not yet known to
 // the type registry, a minimal concrete type is registered dynamically.
+// The registry stores a copy, so later changes to d do not reach it.
 func (r *Registry) Register(d *activity.Deployment) (epr.EPR, error) {
 	r.registers.Inc()
 	if err := d.Validate(); err != nil {
@@ -168,7 +157,7 @@ func (r *Registry) Register(d *activity.Deployment) (epr.EPR, error) {
 				d.Type, t.MaxDeployments)
 		}
 	}
-	if _, err := r.home.Create(d.Name, d.ToXML()); err != nil {
+	if _, err := r.home.Create(d.Name, d.Clone()); err != nil {
 		return epr.EPR{}, err
 	}
 	e := r.home.EPR(d.Name)
@@ -181,28 +170,23 @@ func (r *Registry) Register(d *activity.Deployment) (epr.EPR, error) {
 	return e, nil
 }
 
-// Get returns a deployment by name (hash-table path).
+// Get returns a deployment by name (hash-table path). The deployment is
+// shared with the registry and must not be modified.
 func (r *Registry) Get(name string) (*activity.Deployment, bool) {
 	res := r.home.Find(name)
 	if res == nil {
 		return nil, false
 	}
-	var d *activity.Deployment
-	var err error
-	res.Read(func(doc *xmlutil.Node) { d, err = activity.DeploymentFromXML(doc) })
-	if err != nil {
-		return nil, false
-	}
-	return d, true
+	return res.Value(), true
 }
 
-// GetDocument returns the raw property document of a deployment.
+// GetDocument renders the property document of a deployment.
 func (r *Registry) GetDocument(name string) (*xmlutil.Node, bool) {
-	res := r.home.Find(name)
-	if res == nil {
+	d, ok := r.Get(name)
+	if !ok {
 		return nil, false
 	}
-	return res.Document(), true
+	return d.ToXML(), true
 }
 
 // LUT returns a deployment resource's LastUpdateTime.
@@ -214,34 +198,21 @@ func (r *Registry) LUT(name string) (time.Time, bool) {
 	return res.LastUpdate(), true
 }
 
-// ByType lists local deployments of the given concrete type.
+// ByType lists local deployments of the given concrete type (shared,
+// read-only).
 func (r *Registry) ByType(typeName string) []*activity.Deployment {
 	r.byType.Inc()
 	var out []*activity.Deployment
-	for _, res := range r.home.All() {
-		var d *activity.Deployment
-		var err error
-		res.Read(func(doc *xmlutil.Node) { d, err = activity.DeploymentFromXML(doc) })
-		if err == nil && d.Type == typeName {
+	for _, d := range r.home.Values() {
+		if d.Type == typeName {
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// All returns every local deployment.
-func (r *Registry) All() []*activity.Deployment {
-	var out []*activity.Deployment
-	for _, res := range r.home.All() {
-		var d *activity.Deployment
-		var err error
-		res.Read(func(doc *xmlutil.Node) { d, err = activity.DeploymentFromXML(doc) })
-		if err == nil {
-			out = append(out, d)
-		}
-	}
-	return out
-}
+// All returns every local deployment (shared, read-only).
+func (r *Registry) All() []*activity.Deployment { return r.home.Values() }
 
 // Names returns the registered deployment names, mirroring atr.Names —
 // cheap existence checks (does this site own the entry?) that do not need
@@ -251,17 +222,13 @@ func (r *Registry) Names() []string { return r.home.Keys() }
 // Len reports the number of registered deployments.
 func (r *Registry) Len() int { return r.home.Len() }
 
-// Remove unregisters a deployment and clears its ref in the type resource.
+// Remove unregisters a deployment; the destroy listener clears its ref in
+// the type resource.
 func (r *Registry) Remove(name string) bool {
 	r.removes.Inc()
-	d, ok := r.Get(name)
-	if !ok {
-		return false
-	}
 	if !r.home.Destroy(name) {
 		return false
 	}
-	r.types.RemoveDeploymentRef(d.Type, name)
 	r.journalDelete(name)
 	r.broker.Publish(wsrf.TopicResourceDestroyed, name, nil)
 	return true
@@ -271,18 +238,14 @@ func (r *Registry) Remove(name string) bool {
 // the deployment's metrics and bumps the resource's LastUpdateTime, which
 // in turn revives caches holding this deployment.
 func (r *Registry) UpdateMetrics(name string, m activity.Metrics) error {
-	res := r.home.Find(name)
-	if res == nil {
+	d, ok := r.home.Update(name, func(d *activity.Deployment) *activity.Deployment {
+		c := *d
+		c.Metrics = m
+		return &c
+	})
+	if !ok {
 		return fmt.Errorf("adr: no such deployment %q", name)
 	}
-	var d *activity.Deployment
-	var err error
-	res.Read(func(doc *xmlutil.Node) { d, err = activity.DeploymentFromXML(doc) })
-	if err != nil {
-		return err
-	}
-	d.Metrics = m
-	res.Replace(r.now(), d.ToXML())
 	r.journalPut(name)
 	// Refresh the EPR registered in the type resource (LUT changed).
 	if err := r.types.AddDeploymentRef(d.Type, r.home.EPR(name)); err != nil {
@@ -305,7 +268,6 @@ func (r *Registry) SetTermination(name string, at time.Time) error {
 
 // SweepExpired destroys expired deployment resources.
 func (r *Registry) SweepExpired() []string {
-	// Collect types before destroying so refs can be cleaned.
 	gone := r.home.SweepExpired()
 	for _, name := range gone {
 		r.journalDelete(name)

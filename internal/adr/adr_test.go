@@ -1,7 +1,9 @@
 package adr
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,5 +224,121 @@ func TestMountedService(t *testing.T) {
 	}
 	if _, err := cli.Call(url, "Remove", xmlutil.NewNode("Name", "jpovray")); err == nil {
 		t.Fatal("double remove must fault")
+	}
+}
+
+// TestSweepExpiredClearsTypeRef: an expired deployment's EPR leaves its
+// type resource when the sweep destroys it, so the dead ref no longer
+// holds the type's only MaxDeployments slot.
+func TestSweepExpiredClearsTypeRef(t *testing.T) {
+	deps, types, v := fixture()
+	types.Register(&activity.Type{Name: "JPOVray", MaxDeployments: 1})
+	if _, err := deps.Register(jpovrayDep("d1")); err != nil {
+		t.Fatal(err)
+	}
+	deps.SetTermination("d1", v.Now().Add(time.Minute))
+	v.Advance(2 * time.Minute)
+	if gone := deps.SweepExpired(); len(gone) != 1 || gone[0] != "d1" {
+		t.Fatalf("swept %v", gone)
+	}
+	if _, err := deps.Register(jpovrayDep("d2")); err != nil {
+		t.Fatalf("register after the sweep: %v", err)
+	}
+	if refs := types.DeploymentRefs("JPOVray"); len(refs) != 1 || refs[0].Key != "d2" {
+		t.Fatalf("type refs = %v", refs)
+	}
+}
+
+// TestRegisterStoresPrivateCopy: changing a deployment after Register
+// does not reach the registered value.
+func TestRegisterStoresPrivateCopy(t *testing.T) {
+	deps, _, _ := fixture()
+	d := jpovrayDep("jpovray")
+	d.Env = map[string]string{"JAVA_HOME": "/opt/java"}
+	deps.Register(d)
+	d.Path = "/changed"
+	d.Env["JAVA_HOME"] = "/changed"
+	got, _ := deps.Get("jpovray")
+	if got.Path != "/opt/glare/deployments/jpovray/bin/jpovray" || got.Env["JAVA_HOME"] != "/opt/java" {
+		t.Fatalf("registered value changed with the caller's: %+v", got)
+	}
+}
+
+// TestUpdateMetricsCopyOnWrite: a deployment read before UpdateMetrics is
+// unchanged afterwards; the update stores a modified copy.
+func TestUpdateMetricsCopyOnWrite(t *testing.T) {
+	deps, _, _ := fixture()
+	deps.Register(jpovrayDep("jpovray"))
+	before, _ := deps.Get("jpovray")
+	all := deps.All()
+	if err := deps.UpdateMetrics("jpovray", activity.Metrics{Invocations: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if before.Metrics.Invocations != 0 || all[0].Metrics.Invocations != 0 {
+		t.Fatalf("value read before the update changed: %+v", before.Metrics)
+	}
+	if after, _ := deps.Get("jpovray"); after.Metrics.Invocations != 7 {
+		t.Fatalf("metrics after the update = %+v", after.Metrics)
+	}
+}
+
+// TestConcurrentReadsAndWrites runs the registries' read paths (Lookup,
+// ByType, XPath Query, DeploymentRefs) alongside registrations, ref
+// updates and metric updates; run it under -race.
+func TestConcurrentReadsAndWrites(t *testing.T) {
+	deps, types, _ := fixture()
+	types.Register(&activity.Type{Name: "JPOVray"})
+	const writers, perWriter = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				name := fmt.Sprintf("d%d-%d", w, i)
+				if _, err := deps.Register(jpovrayDep(name)); err != nil {
+					t.Error(err)
+					return
+				}
+				deps.UpdateMetrics(name, activity.Metrics{Invocations: i})
+				types.AddDeploymentRef("JPOVray", deps.EPR(name))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ty, ok := types.Lookup("JPOVray"); !ok || ty.Name != "JPOVray" {
+					t.Error("lookup lost the type")
+					return
+				}
+				for _, d := range deps.ByType("JPOVray") {
+					_ = d.Metrics.Invocations
+				}
+				if _, err := types.QueryString(`//ActivityTypeEntry[@name='JPOVray']`); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = len(types.DeploymentRefs("JPOVray"))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if n := len(deps.ByType("JPOVray")); n != writers*perWriter {
+		t.Fatalf("byType = %d, want %d", n, writers*perWriter)
+	}
+	if n := len(types.DeploymentRefs("JPOVray")); n != writers*perWriter {
+		t.Fatalf("refs = %d, want %d", n, writers*perWriter)
 	}
 }

@@ -10,11 +10,13 @@
 //     access named resources. This eliminates XPath-based search
 //     requirements ... and significantly improves the performance.")
 //   - Non-named discovery uses the same XPath mechanism as the Index
-//     Service, over the WSRF service-group aggregation.
+//     Service, over a WSRF service-group document aggregated from the
+//     registry's entries.
 package atr
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"glare/internal/activity"
@@ -34,8 +36,9 @@ const KeyName = "ActivityTypeKey"
 const ServiceName = "ActivityTypeRegistry"
 
 // Journal receives every registry mutation for durable replay (the
-// write-ahead log of internal/store satisfies it). Implementations must
-// be safe for concurrent use; nil means no persistence.
+// write-ahead log of internal/store satisfies it); the deployment registry
+// journals through it too. Implementations must be safe for concurrent
+// use; nil means no persistence.
 type Journal interface {
 	// RecordPut journals the full property document after a mutation.
 	RecordPut(key string, doc *xmlutil.Node, lut, term time.Time)
@@ -43,13 +46,74 @@ type Journal interface {
 	RecordDelete(key string)
 }
 
+// depKeyName is the reference property naming a deployment EPR's key
+// (adr.KeyName; adr imports this package, not the other way round).
+const depKeyName = "ActivityDeploymentKey"
+
+// entry is the value of one type resource: the activity type plus what the
+// registry records on it — the EPRs of its deployments ("registered in its
+// type resource") and the sites it is marked deployed on. Entries are
+// shared with readers and never modified once stored; a mutation stores a
+// modified copy.
+type entry struct {
+	typ      *activity.Type
+	refs     []epr.EPR
+	deployed []string
+}
+
+// toXML renders the type resource's property document: the type, then
+// <DeploymentRefs> when it has any, then one <DeployedOn> per site.
+func (e *entry) toXML() *xmlutil.Node {
+	n := e.typ.ToXML()
+	if len(e.refs) > 0 {
+		refs := n.Elem("DeploymentRefs")
+		for _, ref := range e.refs {
+			refs.Add(ref.ToXML("DeploymentEPR"))
+		}
+	}
+	for _, site := range e.deployed {
+		n.Elem("DeployedOn", site)
+	}
+	return n
+}
+
+// entryFromXML decodes a type resource's property document. Deployment
+// EPRs that do not parse or carry no deployment key are dropped.
+func entryFromXML(n *xmlutil.Node) (*entry, error) {
+	t, err := activity.TypeFromXML(n)
+	if err != nil {
+		return nil, err
+	}
+	e := &entry{typ: t}
+	if refs := n.First("DeploymentRefs"); refs != nil {
+		for _, c := range refs.All("DeploymentEPR") {
+			if ref, err := epr.FromXML(c, depKeyName); err == nil && ref.Key != "" {
+				e.refs = append(e.refs, ref)
+			}
+		}
+	}
+	for _, d := range n.All("DeployedOn") {
+		e.deployed = append(e.deployed, d.Text)
+	}
+	return e, nil
+}
+
+// refsWithout copies the entry's refs, leaving out the one for the
+// deployment key; the result has room to append one more.
+func (e *entry) refsWithout(key string) []epr.EPR {
+	out := make([]epr.EPR, 0, len(e.refs)+1)
+	for _, ref := range e.refs {
+		if ref.Key != key {
+			out = append(out, ref)
+		}
+	}
+	return out
+}
+
 // Registry is one site's Activity Type Registry.
 type Registry struct {
-	home    *wsrf.Home
-	group   *wsrf.ServiceGroup
+	home    *wsrf.Home[*entry]
 	broker  *wsrf.Broker
-	clock   simclock.Clock
-	stamp   func() time.Time // ordering-stamp source; nil = clock.Now
 	journal Journal
 
 	// Hot-path counters; nil (no-op) until SetTelemetry is called.
@@ -59,22 +123,14 @@ type Registry struct {
 // New creates an empty registry. serviceURL is the address other sites use
 // to reach it (may be set later via SetServiceURL when the server starts).
 func New(serviceURL string, clock simclock.Clock, broker *wsrf.Broker) *Registry {
-	if clock == nil {
-		clock = simclock.Real
-	}
 	if broker == nil {
 		broker = wsrf.NewBroker(clock)
 	}
 	return &Registry{
-		home:   wsrf.NewHome(serviceURL, KeyName, clock),
-		group:  wsrf.NewServiceGroup("activity-types", clock),
+		home:   wsrf.NewHome[*entry](serviceURL, KeyName, clock),
 		broker: broker,
-		clock:  clock,
 	}
 }
-
-// Home exposes the resource home (for aggregation into indices).
-func (r *Registry) Home() *wsrf.Home { return r.home }
 
 // Broker exposes the notification broker.
 func (r *Registry) Broker() *wsrf.Broker { return r.broker }
@@ -96,29 +152,16 @@ func (r *Registry) SetJournal(j Journal) { r.journal = j }
 // logical clock — so cross-site newest-wins comparisons (anti-entropy,
 // replication) survive wall-clock skew. Call during site assembly, before
 // serving traffic. Expiry sweeps stay on the physical clock.
-func (r *Registry) SetStamp(fn func() time.Time) {
-	r.stamp = fn
-	r.home.SetStamp(fn)
-}
-
-// now returns the next ordering stamp.
-func (r *Registry) now() time.Time {
-	if r.stamp != nil {
-		return r.stamp()
-	}
-	return r.clock.Now()
-}
+func (r *Registry) SetStamp(fn func() time.Time) { r.home.SetStamp(fn) }
 
 // journalPut journals a resource's current document and timestamps.
 func (r *Registry) journalPut(name string) {
 	if r.journal == nil {
 		return
 	}
-	res := r.home.Find(name)
-	if res == nil {
-		return
+	if res := r.home.Find(name); res != nil {
+		r.journal.RecordPut(name, res.Value().toXML(), res.LastUpdate(), res.TerminationTime())
 	}
-	r.journal.RecordPut(name, res.Document(), res.LastUpdate(), res.TerminationTime())
 }
 
 // journalDelete journals a resource removal.
@@ -129,21 +172,29 @@ func (r *Registry) journalDelete(name string) {
 }
 
 // Restore re-installs a journaled type resource during crash recovery:
-// the document and timestamps land exactly as journaled, and neither
-// counters, notifications, nor the journal itself observe it — replay is
-// not registration traffic.
-func (r *Registry) Restore(name string, doc *xmlutil.Node, lut, term time.Time) {
-	res := r.home.Restore(name, doc, lut, term)
-	r.group.AddEntry(r.home.EPR(name), res.Document())
+// the document is decoded and, with its timestamps, lands exactly as
+// journaled, and neither counters, notifications, nor the journal itself
+// observe it — replay is not registration traffic. A document that does
+// not decode is not installed.
+func (r *Registry) Restore(name string, doc *xmlutil.Node, lut, term time.Time) error {
+	e, err := entryFromXML(doc)
+	if err != nil {
+		return err
+	}
+	r.home.Restore(name, e, lut, term)
+	return nil
 }
 
 // Adopt installs a replicated type entry as locally owned: the document
 // and timestamps land exactly as journaled at the origin site (like
 // Restore), but the adoption is journaled locally, so a promoted replica
 // survives this site's own restarts too.
-func (r *Registry) Adopt(name string, doc *xmlutil.Node, lut, term time.Time) {
-	r.Restore(name, doc, lut, term)
+func (r *Registry) Adopt(name string, doc *xmlutil.Node, lut, term time.Time) error {
+	if err := r.Restore(name, doc, lut, term); err != nil {
+		return err
+	}
 	r.journalPut(name)
+	return nil
 }
 
 // Timestamps returns a type resource's LastUpdateTime and termination
@@ -156,44 +207,39 @@ func (r *Registry) Timestamps(name string) (lut, term time.Time, ok bool) {
 	return res.LastUpdate(), res.TerminationTime(), true
 }
 
-// Register adds an activity type; duplicate names are rejected.
+// Register adds an activity type; duplicate names are rejected. The
+// registry stores a copy, so later changes to t do not reach it.
 func (r *Registry) Register(t *activity.Type) (epr.EPR, error) {
 	r.registers.Inc()
 	if err := t.Validate(); err != nil {
 		return epr.EPR{}, err
 	}
-	if _, err := r.home.Create(t.Name, t.ToXML()); err != nil {
+	if _, err := r.home.Create(t.Name, &entry{typ: t.Clone()}); err != nil {
 		return epr.EPR{}, err
 	}
-	r.group.AddEntry(r.home.EPR(t.Name), r.home.Find(t.Name).Document())
 	r.journalPut(t.Name)
 	r.broker.Publish(wsrf.TopicResourceCreated, t.Name, t.ToXML())
 	return r.home.EPR(t.Name), nil
 }
 
 // Lookup resolves a named type through the hash table — the O(1) path.
+// The returned type is shared with the registry and must not be modified.
 func (r *Registry) Lookup(name string) (*activity.Type, bool) {
 	r.lookups.Inc()
 	res := r.home.Find(name)
 	if res == nil {
 		return nil, false
 	}
-	var t *activity.Type
-	var err error
-	res.Read(func(doc *xmlutil.Node) { t, err = activity.TypeFromXML(doc) })
-	if err != nil {
-		return nil, false
-	}
-	return t, true
+	return res.Value().typ, true
 }
 
-// LookupDocument returns the raw property document of a named type.
+// LookupDocument renders the property document of a named type.
 func (r *Registry) LookupDocument(name string) (*xmlutil.Node, bool) {
 	res := r.home.Find(name)
 	if res == nil {
 		return nil, false
 	}
-	return res.Document(), true
+	return res.Value().toXML(), true
 }
 
 // LUT returns the LastUpdateTime of a named type resource.
@@ -211,7 +257,6 @@ func (r *Registry) Remove(name string) bool {
 	if !r.home.Destroy(name) {
 		return false
 	}
-	r.group.RemoveEntry(name)
 	r.journalDelete(name)
 	r.broker.Publish(wsrf.TopicResourceDestroyed, name, nil)
 	return true
@@ -219,7 +264,7 @@ func (r *Registry) Remove(name string) bool {
 
 // OnRemove registers a listener fired when a type resource is destroyed.
 func (r *Registry) OnRemove(fn func(typeName string)) {
-	r.home.OnDestroy(func(res *wsrf.Resource) { fn(res.Key()) })
+	r.home.OnDestroy(func(res *wsrf.Resource[*entry]) { fn(res.Key()) })
 }
 
 // Names lists registered type names in sorted order.
@@ -228,16 +273,12 @@ func (r *Registry) Names() []string { return r.home.Keys() }
 // Len reports the number of registered types.
 func (r *Registry) Len() int { return r.home.Len() }
 
-// Types returns all registered types.
+// Types returns all registered types, shared and read-only.
 func (r *Registry) Types() []*activity.Type {
-	var out []*activity.Type
-	for _, res := range r.home.All() {
-		var t *activity.Type
-		var err error
-		res.Read(func(doc *xmlutil.Node) { t, err = activity.TypeFromXML(doc) })
-		if err == nil {
-			out = append(out, t)
-		}
+	entries := r.home.Values()
+	out := make([]*activity.Type, len(entries))
+	for i, e := range entries {
+		out[i] = e.typ
 	}
 	return out
 }
@@ -248,7 +289,8 @@ func (r *Registry) Hierarchy() (*activity.Hierarchy, error) {
 }
 
 // ConcreteOf resolves an abstract or concrete name to the concrete types
-// satisfying it, using the local hierarchy.
+// satisfying it, using the local hierarchy. The types are shared and
+// read-only.
 func (r *Registry) ConcreteOf(name string) ([]*activity.Type, error) {
 	r.concrete.Inc()
 	h, err := r.Hierarchy()
@@ -258,11 +300,10 @@ func (r *Registry) ConcreteOf(name string) ([]*activity.Type, error) {
 	return h.ConcreteOf(name), nil
 }
 
-// Query evaluates an XPath expression over the aggregated document; the
-// group is refreshed first so results reflect current state.
+// Query evaluates an XPath expression over the registry's aggregated
+// document, rendered from the current entries.
 func (r *Registry) Query(expr *xpath.Expr) xpath.Result {
-	r.group.Refresh(r.home)
-	return r.group.Query(expr)
+	return expr.Select(r.home.Aggregate("activity-types", (*entry).toXML))
 }
 
 // QueryString compiles and evaluates an XPath source string.
@@ -276,27 +317,17 @@ func (r *Registry) QueryString(src string) (xpath.Result, error) {
 
 // AddDeploymentRef records a deployment EPR inside its type resource:
 // "The Endpoint Reference (EPR) of each activity deployment resource is
-// registered in its type resource presented in the type registry."
+// registered in its type resource presented in the type registry." A
+// previous EPR for the same deployment key is replaced.
 func (r *Registry) AddDeploymentRef(typeName string, dep epr.EPR) error {
-	res := r.home.Find(typeName)
-	if res == nil {
+	_, ok := r.home.Update(typeName, func(e *entry) *entry {
+		c := *e
+		c.refs = append(e.refsWithout(dep.Key), dep)
+		return &c
+	})
+	if !ok {
 		return fmt.Errorf("atr: no such type %q", typeName)
 	}
-	res.Update(r.now(), func(doc *xmlutil.Node) {
-		refs := doc.First("DeploymentRefs")
-		if refs == nil {
-			refs = doc.Elem("DeploymentRefs")
-		}
-		// Replace any previous EPR for the same deployment key.
-		for _, old := range refs.All("DeploymentEPR") {
-			if rp := old.First("ReferenceProperties"); rp != nil &&
-				rp.ChildText("ActivityDeploymentKey") == dep.Key {
-				refs.Remove(old)
-			}
-		}
-		refs.Add(dep.ToXML("DeploymentEPR"))
-	})
-	r.group.AddEntry(r.home.EPR(typeName), res.Document())
 	r.journalPut(typeName)
 	r.broker.Publish(wsrf.TopicResourceUpdated, typeName, nil)
 	return nil
@@ -304,78 +335,52 @@ func (r *Registry) AddDeploymentRef(typeName string, dep epr.EPR) error {
 
 // RemoveDeploymentRef drops a deployment EPR from its type resource.
 func (r *Registry) RemoveDeploymentRef(typeName, deploymentKey string) {
-	res := r.home.Find(typeName)
-	if res == nil {
-		return
-	}
-	res.Update(r.now(), func(doc *xmlutil.Node) {
-		refs := doc.First("DeploymentRefs")
-		if refs == nil {
-			return
-		}
-		for _, old := range refs.All("DeploymentEPR") {
-			if rp := old.First("ReferenceProperties"); rp != nil &&
-				rp.ChildText("ActivityDeploymentKey") == deploymentKey {
-				refs.Remove(old)
-			}
-		}
+	_, ok := r.home.Update(typeName, func(e *entry) *entry {
+		c := *e
+		c.refs = e.refsWithout(deploymentKey)
+		return &c
 	})
-	r.group.AddEntry(r.home.EPR(typeName), res.Document())
-	r.journalPut(typeName)
+	if ok {
+		r.journalPut(typeName)
+	}
 }
 
-// DeploymentRefs lists the deployment EPRs recorded in a type resource.
+// DeploymentRefs lists the deployment EPRs recorded in a type resource
+// (shared, read-only).
 func (r *Registry) DeploymentRefs(typeName string) []epr.EPR {
 	res := r.home.Find(typeName)
 	if res == nil {
 		return nil
 	}
-	var out []epr.EPR
-	res.Read(func(doc *xmlutil.Node) {
-		if refs := doc.First("DeploymentRefs"); refs != nil {
-			for _, n := range refs.All("DeploymentEPR") {
-				if e, err := epr.FromXML(n, "ActivityDeploymentKey"); err == nil {
-					out = append(out, e)
-				}
-			}
-		}
-	})
-	return out
+	return slices.Clip(res.Value().refs)
 }
 
 // MarkDeployed flags the type as deployed on a site ("After successful
 // installation, the activity type is marked as deployed").
 func (r *Registry) MarkDeployed(typeName, siteName string) error {
-	res := r.home.Find(typeName)
-	if res == nil {
+	_, ok := r.home.Update(typeName, func(e *entry) *entry {
+		if slices.Contains(e.deployed, siteName) {
+			return e
+		}
+		c := *e
+		c.deployed = append(e.deployed, siteName)
+		return &c
+	})
+	if !ok {
 		return fmt.Errorf("atr: no such type %q", typeName)
 	}
-	res.Update(r.now(), func(doc *xmlutil.Node) {
-		for _, d := range doc.All("DeployedOn") {
-			if d.Text == siteName {
-				return
-			}
-		}
-		doc.Elem("DeployedOn", siteName)
-	})
-	r.group.AddEntry(r.home.EPR(typeName), res.Document())
 	r.journalPut(typeName)
 	return nil
 }
 
-// DeployedOn lists the sites a type is marked deployed on.
+// DeployedOn lists the sites a type is marked deployed on (shared,
+// read-only).
 func (r *Registry) DeployedOn(typeName string) []string {
 	res := r.home.Find(typeName)
 	if res == nil {
 		return nil
 	}
-	var out []string
-	res.Read(func(doc *xmlutil.Node) {
-		for _, d := range doc.All("DeployedOn") {
-			out = append(out, d.Text)
-		}
-	})
-	return out
+	return slices.Clip(res.Value().deployed)
 }
 
 // SetTermination schedules expiry of a type resource (lifecycle control by
@@ -394,7 +399,6 @@ func (r *Registry) SetTermination(typeName string, at time.Time) error {
 func (r *Registry) SweepExpired() []string {
 	gone := r.home.SweepExpired()
 	for _, name := range gone {
-		r.group.RemoveEntry(name)
 		r.journalDelete(name)
 		r.broker.Publish(wsrf.TopicResourceDestroyed, name, nil)
 	}

@@ -2,6 +2,8 @@ package atr
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -94,7 +96,7 @@ func TestXPathQuery(t *testing.T) {
 func TestDeploymentRefs(t *testing.T) {
 	r, v := fixture()
 	r.Register(&activity.Type{Name: "JPOVray"})
-	dep := r.Home().EPR("JPOVray") // any EPR shape works for the ref
+	dep := r.EPR("JPOVray") // any EPR shape works for the ref
 	dep.KeyName = "ActivityDeploymentKey"
 	dep.Key = "jpovray"
 	dep.LastUpdateTime = v.Now()
@@ -279,5 +281,103 @@ func TestManyTypesNamedLookupStaysFast(t *testing.T) {
 	}
 	if got := len(r.Names()); got != 300 {
 		t.Fatalf("names = %d", got)
+	}
+}
+
+// TestRegisterStoresPrivateCopy: changing a type after Register — even
+// deep inside it — does not reach the registered value.
+func TestRegisterStoresPrivateCopy(t *testing.T) {
+	r, _ := fixture()
+	ty := imagingTypes()[2] // JPOVray
+	ty.Functions = []activity.Function{{Name: "render", Inputs: []string{"scene.pov"}}}
+	if _, err := r.Register(ty); err != nil {
+		t.Fatal(err)
+	}
+	ty.Name = "Changed"
+	ty.Base[0] = "Changed"
+	ty.Dependencies[0] = "Changed"
+	ty.Functions[0].Inputs[0] = "changed.pov"
+	ty.Installation.Mode = activity.ModeManual
+	got, ok := r.Lookup("JPOVray")
+	if !ok || got.Name != "JPOVray" || got.Base[0] != "POVray" || got.Dependencies[0] != "Java" ||
+		got.Functions[0].Inputs[0] != "scene.pov" || got.Installation.Mode != activity.ModeOnDemand {
+		t.Fatalf("registered value changed with the caller's: %+v", got)
+	}
+}
+
+// TestUpdatesCopyOnWrite: the entry and ref slice read before each of
+// AddDeploymentRef, MarkDeployed and RemoveDeploymentRef are unchanged
+// afterwards; every update stores a modified copy instead of editing what
+// readers hold.
+func TestUpdatesCopyOnWrite(t *testing.T) {
+	r, v := fixture()
+	r.Register(&activity.Type{Name: "JPOVray"})
+	ref := r.EPR("JPOVray")
+	ref.KeyName, ref.Key = "ActivityDeploymentKey", "d1"
+	ref2 := ref
+	ref2.Key = "d2"
+	r.MarkDeployed("JPOVray", "agrid1")
+	for _, step := range []struct {
+		name string
+		op   func()
+	}{
+		{"AddDeploymentRef", func() { r.AddDeploymentRef("JPOVray", ref.Touch(v.Now())) }},
+		{"AddDeploymentRef replacing", func() { r.AddDeploymentRef("JPOVray", ref.Touch(v.Now())) }},
+		{"AddDeploymentRef appending", func() { r.AddDeploymentRef("JPOVray", ref2) }},
+		{"MarkDeployed", func() { r.MarkDeployed("JPOVray", "agrid2") }},
+		{"RemoveDeploymentRef", func() { r.RemoveDeploymentRef("JPOVray", "d1") }},
+	} {
+		held := r.home.Find("JPOVray").Value()
+		want := &entry{typ: held.typ, refs: slices.Clone(held.refs), deployed: slices.Clone(held.deployed)}
+		refs := r.DeploymentRefs("JPOVray")
+		wantRefs := slices.Clone(refs)
+		v.Advance(time.Second)
+		step.op()
+		if !reflect.DeepEqual(held, want) || !reflect.DeepEqual(refs, wantRefs) {
+			t.Fatalf("%s changed a value read before it: %+v, refs %v", step.name, held, refs)
+		}
+	}
+	refs := r.DeploymentRefs("JPOVray")
+	if len(refs) != 1 || refs[0].Key != "d2" || fmt.Sprint(r.DeployedOn("JPOVray")) != "[agrid1 agrid2]" {
+		t.Fatalf("after the updates: refs %v, deployed on %v", refs, r.DeployedOn("JPOVray"))
+	}
+}
+
+// TestDocumentForm pins the type resource's document: the type, then
+// <DeploymentRefs> only while it holds refs, then the <DeployedOn> sites —
+// whatever order the refs and marks were made in.
+func TestDocumentForm(t *testing.T) {
+	r, _ := fixture()
+	r.Register(&activity.Type{Name: "A"})
+	r.MarkDeployed("A", "agrid1")
+	ref := r.EPR("A")
+	ref.KeyName, ref.Key = "ActivityDeploymentKey", "a1"
+	r.AddDeploymentRef("A", ref)
+	names := func() (out []string) {
+		doc, _ := r.LookupDocument("A")
+		for _, c := range doc.Children {
+			out = append(out, c.Name)
+		}
+		return out
+	}
+	if got := fmt.Sprint(names()); got != "[DeploymentRefs DeployedOn]" {
+		t.Fatalf("children = %s", got)
+	}
+	r.RemoveDeploymentRef("A", "a1")
+	if got := fmt.Sprint(names()); got != "[DeployedOn]" {
+		t.Fatalf("children after the last ref left = %s", got)
+	}
+	// The document decodes back to the same entry (what Restore replays).
+	doc, _ := r.LookupDocument("A")
+	lut, term, _ := r.Timestamps("A")
+	r2, _ := fixture()
+	if err := r2.Restore("A", doc, lut, term); err != nil {
+		t.Fatal(err)
+	}
+	if on := r2.DeployedOn("A"); len(on) != 1 || on[0] != "agrid1" || len(r2.DeploymentRefs("A")) != 0 {
+		t.Fatalf("restored entry = %v / %v", on, r2.DeploymentRefs("A"))
+	}
+	if err := r2.Restore("B", xmlutil.NewNode("NotAType"), lut, term); err == nil || r2.Len() != 1 {
+		t.Fatal("an undecodable document was restored")
 	}
 }

@@ -94,7 +94,7 @@ func FromXML(n *xmlutil.Node, keyName string) (EPR, error) {
 			if err != nil {
 				return EPR{}, fmt.Errorf("epr: bad LastUpdateTime %q: %w", c.Text, err)
 			}
-			e.LastUpdateTime = t
+			e.LastUpdateTime = t.UTC()
 		case keyName != "" && c.Name == keyName:
 			e.Key = c.Text
 		case keyName == "" && e.Key == "":

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 )
@@ -293,8 +292,3 @@ func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	return rt.base.RoundTrip(req)
 }
-
-// ChaosEnabled reports whether heavyweight randomized chaos tests should
-// run (GLARE_CHAOS=1 in the environment, as set by the CI chaos job).
-// Cheap deterministic fault-injection tests run unconditionally.
-func ChaosEnabled() bool { return os.Getenv("GLARE_CHAOS") != "" }

@@ -274,23 +274,3 @@ func (x *Index) Mount(srv *transport.Server) {
 		},
 	})
 }
-
-// RefreshEvery launches a goroutine re-registering entries from src into
-// the index every interval until stop is closed; mirrors GT4's periodic
-// upstream registration renewal.
-func (x *Index) RefreshEvery(interval time.Duration, src *wsrf.Home, stop <-chan struct{}) {
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				for _, r := range src.All() {
-					x.Register(src.EPR(r.Key()), r.Document())
-				}
-			}
-		}
-	}()
-}

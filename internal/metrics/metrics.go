@@ -1,6 +1,6 @@
 // Package metrics implements the measurement instruments the experiments
-// need: a throughput meter (Figs. 10/11) and a Unix-style 1-minute load
-// average over a service's run queue (Fig. 13).
+// need: a latency recorder and a Unix-style 1-minute load average over a
+// service's run queue (Fig. 13).
 //
 // The paper measures "the load average ... as the load on the Activity
 // Type Registry during the last minute (using Unix uptime command). The
@@ -24,40 +24,6 @@ import (
 
 	"glare/internal/telemetry"
 )
-
-// Throughput measures completed operations per second over a window.
-type Throughput struct {
-	start time.Time
-	ops   *telemetry.Counter
-}
-
-// NewThroughput starts a meter backed by a private counter.
-func NewThroughput() *Throughput { return NewThroughputOn(nil) }
-
-// NewThroughputOn starts a meter recording into c, so the same completions
-// feed both the experiment figure and the site's /metrics exposition. A
-// nil c falls back to a private counter.
-func NewThroughputOn(c *telemetry.Counter) *Throughput {
-	if c == nil {
-		c = new(telemetry.Counter)
-	}
-	return &Throughput{start: time.Now(), ops: c}
-}
-
-// Add records n completed operations.
-func (t *Throughput) Add(n int) { t.ops.Add(uint64(n)) }
-
-// Ops returns the operation count.
-func (t *Throughput) Ops() uint64 { return t.ops.Value() }
-
-// PerSecond returns operations per wall-clock second since start.
-func (t *Throughput) PerSecond() float64 {
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.ops.Value()) / el
-}
 
 // LoadTracker computes a 1-minute exponentially-decayed load average of a
 // run queue. Callers bracket request handling with Enter/Exit; a sampler

@@ -9,19 +9,6 @@ import (
 	"glare/internal/telemetry"
 )
 
-func TestThroughput(t *testing.T) {
-	m := NewThroughput()
-	m.Add(10)
-	m.Add(5)
-	if m.Ops() != 15 {
-		t.Fatalf("ops = %d", m.Ops())
-	}
-	time.Sleep(10 * time.Millisecond)
-	if m.PerSecond() <= 0 {
-		t.Fatal("rate must be positive")
-	}
-}
-
 func TestLoadTrackerQueue(t *testing.T) {
 	lt := NewLoadTracker()
 	lt.Enter()
@@ -73,16 +60,6 @@ func TestLoadTrackerOnSharedGauge(t *testing.T) {
 	lt.Exit()
 	if lt.Queue() != 1 || g.Value() != 1 {
 		t.Fatalf("queue = %d gauge = %d", lt.Queue(), g.Value())
-	}
-}
-
-func TestThroughputOnSharedCounter(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c := reg.Counter("glare_ops_total")
-	m := NewThroughputOn(c)
-	m.Add(3)
-	if c.Value() != 3 || m.Ops() != 3 {
-		t.Fatalf("counter = %d ops = %d", c.Value(), m.Ops())
 	}
 }
 

@@ -35,22 +35,22 @@ func (s *Service) attachStore(st *store.Store) {
 // them); expired lease tickets are dropped — the deployment returns to
 // the pool — but every journaled ticket ID is retired so a restarted site
 // never reissues an ID a client may still hold. Entries whose documents
-// no longer parse are skipped: recovery prefers a smaller correct registry
-// over a boot failure.
+// no longer parse or decode are skipped: recovery prefers a smaller
+// correct registry over a boot failure.
 func (s *Service) restoreFromStore(state *store.State) {
 	for key, e := range state.Registries[store.RegATR] {
 		doc, err := xmlutil.ParseString(e.Doc)
 		if err != nil {
 			continue
 		}
-		s.ATR.Restore(key, doc, e.LUT, e.Term)
+		_ = s.ATR.Restore(key, doc, e.LUT, e.Term) // an undecodable entry is skipped
 	}
 	for key, e := range state.Registries[store.RegADR] {
 		doc, err := xmlutil.ParseString(e.Doc)
 		if err != nil {
 			continue
 		}
-		s.ADR.Restore(key, doc, e.LUT, e.Term)
+		_ = s.ADR.Restore(key, doc, e.LUT, e.Term) // an undecodable entry is skipped
 	}
 	for _, t := range state.Leases.Tickets {
 		s.Leases.Restore(t)

@@ -62,7 +62,7 @@ func parseReplicaReg(name string) (origin, reg string, ok bool) {
 // replJournal composes a registry's durable journal with the replication
 // fan-out: the local write lands first (it is the owner's quorum vote),
 // then the mutation ships to the replica set asynchronously. It satisfies
-// both atr.Journal and adr.Journal.
+// atr.Journal, which both registries journal through.
 type replJournal struct {
 	next replicate.Journal // the store's WAL adapter; nil on memory-only sites
 	repl *replicate.Replicator
@@ -281,7 +281,7 @@ func (s *Service) ownEntries() map[string][]replicate.Entry {
 		if !ok {
 			continue
 		}
-		out[replRegATR] = append(out[replRegATR], replicate.Entry{Key: name, Doc: doc.Clone(), LUT: lut, Term: term})
+		out[replRegATR] = append(out[replRegATR], replicate.Entry{Key: name, Doc: doc, LUT: lut, Term: term})
 	}
 	for _, name := range s.ADR.Names() {
 		doc, ok := s.ADR.GetDocument(name)
@@ -292,7 +292,7 @@ func (s *Service) ownEntries() map[string][]replicate.Entry {
 		if !ok {
 			continue
 		}
-		out[replRegADR] = append(out[replRegADR], replicate.Entry{Key: name, Doc: doc.Clone(), LUT: lut, Term: term})
+		out[replRegADR] = append(out[replRegADR], replicate.Entry{Key: name, Doc: doc, LUT: lut, Term: term})
 	}
 	return out
 }
@@ -323,7 +323,9 @@ func (s *Service) adoptEntries(regs map[string][]replicate.Entry) int {
 		if lut, _, ok := s.ATR.Timestamps(e.Key); ok && !e.LUT.After(lut) {
 			continue
 		}
-		s.ATR.Adopt(e.Key, e.Doc.Clone(), e.LUT, e.Term)
+		if s.ATR.Adopt(e.Key, e.Doc, e.LUT, e.Term) != nil {
+			continue
+		}
 		if s.localIndex != nil {
 			s.localIndex.Register(s.ATR.EPR(e.Key), e.Doc.Clone())
 		}
@@ -336,7 +338,9 @@ func (s *Service) adoptEntries(regs map[string][]replicate.Entry) int {
 		if lut, _, ok := s.ADR.Timestamps(e.Key); ok && !e.LUT.After(lut) {
 			continue
 		}
-		s.ADR.Adopt(e.Key, e.Doc.Clone(), e.LUT, e.Term)
+		if s.ADR.Adopt(e.Key, e.Doc, e.LUT, e.Term) != nil {
+			continue
+		}
 		adopted++
 	}
 	for _, e := range regs[replRegLease] {

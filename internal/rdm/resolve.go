@@ -80,7 +80,8 @@ func (s *Service) RegisterDeployment(d *activity.Deployment) (epr.EPR, error) {
 // resolve the activity type (anywhere in the hierarchy), locate its
 // deployments across the VO, and — when none exist and the type supports
 // it — deploy on demand. The returned deployments are ready for selection
-// by a scheduler.
+// by a scheduler; they are shared with the registry and the cache and
+// must not be modified.
 func (s *Service) GetDeployments(typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
 	return s.GetDeploymentsCtx(context.Background(), nil, typeName, method, allowDeploy)
 }
@@ -313,8 +314,8 @@ func (s *Service) groupConcreteOf(ctx context.Context, sp *telemetry.Span, typeN
 // resolveDeployments collects the deployments of a concrete type from the
 // whole VO, keyed by name: local registry, cache, peer group, super-peer
 // fan-out. Results are merged (Fig. 12 spreads deployments across sites
-// and expects the full list back). Cached deployments are returned shared,
-// not copied.
+// and expects the full list back). Local and cached deployments are
+// returned shared, not copied.
 func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, typeName string) map[string]*activity.Deployment {
 	merged := map[string]*activity.Deployment{}
 	for _, d := range s.ADR.ByType(typeName) {

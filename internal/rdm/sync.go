@@ -215,6 +215,6 @@ func (s *Service) reindexLocalTypes() {
 		if lut, ok := s.ATR.LUT(name); ok {
 			e.LastUpdateTime = lut
 		}
-		s.localIndex.Register(e, doc.Clone())
+		s.localIndex.Register(e, doc)
 	}
 }

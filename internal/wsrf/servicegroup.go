@@ -11,12 +11,9 @@ import (
 	"glare/internal/xpath"
 )
 
-// ServiceGroup aggregates resource property documents from many sources
-// into one queryable document, mirroring the GT4 WSRF service-group
-// framework that both the GLARE registries and the Index Service build on.
-//
-// Entries are periodically refreshed; each entry carries the EPR of its
-// source resource and a cached copy of its content.
+// Entry is one aggregated member of a ServiceGroup: the EPR of its source
+// resource and a cached copy of its content. Sources re-register entries
+// periodically.
 type Entry struct {
 	EPR     epr.EPR
 	Content *xmlutil.Node
@@ -24,7 +21,11 @@ type Entry struct {
 	Renewed time.Time
 }
 
-// ServiceGroup holds aggregated entries keyed by the source resource key.
+// ServiceGroup aggregates resource property documents from many sources
+// into one queryable document, mirroring the GT4 WSRF service-group
+// framework the Index Service builds on; the GLARE registries render the
+// same document shape from their own resources (Home.Aggregate). Entries
+// are keyed by the source resource key.
 type ServiceGroup struct {
 	mu      sync.RWMutex
 	name    string
@@ -39,9 +40,6 @@ func NewServiceGroup(name string, clock simclock.Clock) *ServiceGroup {
 	}
 	return &ServiceGroup{name: name, clock: clock, entries: make(map[string]*Entry)}
 }
-
-// Name returns the group name.
-func (g *ServiceGroup) Name() string { return g.name }
 
 // AddEntry inserts or refreshes an aggregated entry.
 func (g *ServiceGroup) AddEntry(e epr.EPR, content *xmlutil.Node) {
@@ -66,13 +64,6 @@ func (g *ServiceGroup) RemoveEntry(key string) bool {
 	}
 	delete(g.entries, key)
 	return true
-}
-
-// Entry returns the aggregated entry for a key, or nil.
-func (g *ServiceGroup) Entry(key string) *Entry {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.entries[key]
 }
 
 // Len returns the number of aggregated entries.
@@ -104,14 +95,24 @@ func (g *ServiceGroup) Document() *xmlutil.Node {
 	sort.Strings(keys)
 	for _, k := range keys {
 		e := g.entries[k]
-		en := root.Elem("Entry")
-		en.SetAttr("key", k)
-		en.Add(e.EPR.ToXML("MemberEPR"))
-		if e.Content != nil {
-			en.Add(e.Content.Clone())
+		content := e.Content
+		if content != nil {
+			content = content.Clone()
 		}
+		addEntry(root, k, e.EPR, content)
 	}
 	return root
+}
+
+// addEntry appends one aggregated entry — its key, its member EPR and its
+// content, which the document adopts — to a service-group document.
+func addEntry(root *xmlutil.Node, key string, e epr.EPR, content *xmlutil.Node) {
+	en := root.Elem("Entry")
+	en.SetAttr("key", key)
+	en.Add(e.ToXML("MemberEPR"))
+	if content != nil {
+		en.Add(content)
+	}
 }
 
 // Query evaluates an XPath expression over the aggregated document.
@@ -131,21 +132,4 @@ func (g *ServiceGroup) StaleEntries(cutoff time.Time) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Refresh re-aggregates every resource of a Home into the group. The RDM
-// Cache Refresher drives this periodically so that "aggregated resources
-// are periodically refreshed".
-func (g *ServiceGroup) Refresh(h *Home) {
-	for _, r := range h.All() {
-		g.AddEntry(h.EPR(r.Key()), r.Document())
-	}
-	// Drop entries whose source resource no longer exists.
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for k := range g.entries {
-		if h.Find(k) == nil {
-			delete(g.entries, k)
-		}
-	}
 }

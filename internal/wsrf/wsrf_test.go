@@ -11,13 +11,24 @@ import (
 	"glare/internal/xpath"
 )
 
-func newHome(clock simclock.Clock) *Home {
-	return NewHome("http://x/wsrf/services/ATR", "ActivityTypeKey", clock)
+// prop is the test resources' value: a name plus one flag an update sets.
+type prop struct {
+	name string
+	x    bool
+}
+
+func newHome(clock simclock.Clock) *Home[*prop] {
+	return NewHome[*prop]("http://x/wsrf/services/ATR", "ActivityTypeKey", clock)
+}
+
+// entryDoc renders a prop as its property document.
+func entryDoc(p *prop) *xmlutil.Node {
+	return xmlutil.NewNode("ActivityTypeEntry").SetAttr("name", p.name)
 }
 
 func TestCreateFindDestroy(t *testing.T) {
 	h := newHome(nil)
-	doc := xmlutil.MustParse(`<ActivityTypeEntry name="JPOVray"/>`)
+	doc := &prop{name: "JPOVray"}
 	r, err := h.Create("JPOVray", doc)
 	if err != nil {
 		t.Fatal(err)
@@ -45,30 +56,35 @@ func TestCreateFindDestroy(t *testing.T) {
 	}
 }
 
+// TestDocumentIsolation: Update swaps in a new value instead of writing
+// through the stored one, so a value read before the update is unchanged.
 func TestDocumentIsolation(t *testing.T) {
 	h := newHome(nil)
-	r, _ := h.Create("a", xmlutil.MustParse(`<P><v>1</v></P>`))
-	doc := r.Document()
-	doc.First("v").Text = "mutated"
-	if r.Document().ChildText("v") != "1" {
-		t.Fatal("Document() must return a copy")
+	r, _ := h.Create("a", &prop{name: "1"})
+	doc := r.Value()
+	h.Update("a", func(p *prop) *prop { return &prop{name: "mutated"} })
+	if doc.name != "1" || r.Value().name != "mutated" {
+		t.Fatalf("read before update = %q, after = %q", doc.name, r.Value().name)
 	}
 }
 
 func TestUpdateBumpsLastUpdate(t *testing.T) {
 	v := simclock.NewVirtual(time.Time{})
 	h := newHome(v)
-	r, _ := h.Create("a", nil)
+	r, _ := h.Create("a", &prop{})
 	t0 := r.LastUpdate()
 	v.Advance(time.Second)
-	r.Update(v.Now(), func(doc *xmlutil.Node) { doc.Elem("x") })
+	if _, ok := h.Update("a", func(p *prop) *prop { c := *p; c.x = true; return &c }); !ok {
+		t.Fatal("update of a live resource failed")
+	}
 	if !r.LastUpdate().After(t0) {
 		t.Fatal("LastUpdate not bumped")
 	}
-	var hasX bool
-	r.Read(func(doc *xmlutil.Node) { hasX = doc.First("x") != nil })
-	if !hasX {
+	if !r.Value().x {
 		t.Fatal("update lost")
+	}
+	if _, ok := h.Update("missing", func(p *prop) *prop { return p }); ok {
+		t.Fatal("update of a missing resource succeeded")
 	}
 }
 
@@ -101,7 +117,7 @@ func TestOnDestroyListener(t *testing.T) {
 	h := newHome(nil)
 	var mu sync.Mutex
 	var destroyed []string
-	h.OnDestroy(func(r *Resource) {
+	h.OnDestroy(func(r *Resource[*prop]) {
 		mu.Lock()
 		destroyed = append(destroyed, r.Key())
 		mu.Unlock()
@@ -148,27 +164,30 @@ func TestServiceGroupAggregationAndQuery(t *testing.T) {
 	h := newHome(v)
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("t%d", i)
-		doc := xmlutil.NewNode("ActivityTypeEntry")
-		doc.SetAttr("name", key)
-		h.Create(key, doc)
+		h.Create(key, &prop{name: key})
 	}
-	g := NewServiceGroup("atr", v)
-	g.Refresh(h)
-	if g.Len() != 5 {
-		t.Fatalf("group len = %d", g.Len())
+	g := h.Aggregate("atr", entryDoc)
+	if n := len(g.All("Entry")); n != 5 {
+		t.Fatalf("group len = %d", n)
 	}
-	res := g.Query(xpath.MustCompile(`//ActivityTypeEntry[@name='t3']`))
+	query := xpath.MustCompile(`//ActivityTypeEntry[@name='t3']`)
+	res := query.Select(g)
 	if len(res.Nodes) != 1 {
 		t.Fatalf("query = %d nodes", len(res.Nodes))
 	}
-	// Destroy one source and refresh: entry must disappear.
+	// Destroy one source and aggregate again: its entry must be gone.
 	h.Destroy("t3")
-	g.Refresh(h)
-	if g.Len() != 4 {
-		t.Fatalf("after refresh len = %d", g.Len())
+	g = h.Aggregate("atr", entryDoc)
+	if n := len(g.All("Entry")); n != 4 {
+		t.Fatalf("after destroy len = %d", n)
 	}
-	if !g.Query(xpath.MustCompile(`//ActivityTypeEntry[@name='t3']`)).Empty() {
-		t.Fatal("stale entry survived refresh")
+	if !query.Select(g).Empty() {
+		t.Fatal("destroyed resource still aggregated")
+	}
+	// Each entry carries its member EPR, stamped with the resource's LUT.
+	member := g.First("Entry").First("MemberEPR")
+	if member == nil || member.First("ReferenceProperties").ChildText("LastUpdateTime") == "" {
+		t.Fatalf("entry without stamped MemberEPR: %s", g.First("Entry"))
 	}
 }
 
@@ -177,7 +196,7 @@ func TestServiceGroupStaleEntries(t *testing.T) {
 	g := NewServiceGroup("g", v)
 	h := newHome(v)
 	h.Create("a", nil)
-	g.Refresh(h)
+	g.AddEntry(h.EPR("a"), nil)
 	v.Advance(time.Minute)
 	h.Create("b", nil)
 	g.AddEntry(h.EPR("b"), nil)
@@ -191,7 +210,7 @@ func TestServiceGroupRemoveEntry(t *testing.T) {
 	g := NewServiceGroup("g", nil)
 	h := newHome(nil)
 	h.Create("a", nil)
-	g.Refresh(h)
+	g.AddEntry(h.EPR("a"), nil)
 	if !g.RemoveEntry("a") {
 		t.Fatal("remove failed")
 	}
@@ -300,7 +319,7 @@ func TestRestoreExpiredResource(t *testing.T) {
 
 	lut := start.Add(-2 * time.Hour)
 	term := start.Add(-time.Hour) // already in the past at restore time
-	r := h.Restore("stale", xmlutil.MustParse(`<P>old</P>`), lut, term)
+	r := h.Restore("stale", &prop{name: "old"}, lut, term)
 	if got := h.Find("stale"); got != r {
 		t.Fatal("expired resource must still be installed by Restore")
 	}
@@ -313,7 +332,7 @@ func TestRestoreExpiredResource(t *testing.T) {
 
 	// A fresh resource with a future termination must survive the sweep
 	// that reaps the stale one.
-	h.Restore("fresh", xmlutil.MustParse(`<P>new</P>`), start, start.Add(time.Hour))
+	h.Restore("fresh", &prop{name: "new"}, start, start.Add(time.Hour))
 	swept := h.SweepExpired()
 	if len(swept) != 1 || swept[0] != "stale" {
 		t.Fatalf("SweepExpired = %v, want [stale]", swept)

@@ -256,11 +256,15 @@ func escapeText(s string) string {
 	return b.String()
 }
 
-func escapeAttr(s string) string {
-	return strings.NewReplacer(
-		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
-	).Replace(s)
-}
+// attrEscaper escapes attribute values. Tab, newline and carriage return
+// are written as character references: a parser normalizes them when
+// they appear literally, so only the references round-trip.
+var attrEscaper = strings.NewReplacer(
+	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
+	"\t", "&#x9;", "\n", "&#xA;", "\r", "&#xD;",
+)
+
+func escapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // Parse reads one XML document (or fragment with a single root) into a tree.
 func Parse(r io.Reader) (*Node, error) {
