@@ -39,8 +39,8 @@ type FsyncPolicy int
 
 const (
 	// FsyncInterval batches fsyncs: an append syncs only when
-	// Options.FsyncInterval has elapsed since the last sync. The default —
-	// bounded loss window, near-FsyncNever throughput.
+	// Options.FsyncInterval of real time has elapsed since the last sync.
+	// The default — bounded loss window, near-FsyncNever throughput.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every append: no acknowledged mutation is
 	// ever lost, at the cost of one fsync per record.
@@ -102,8 +102,10 @@ type Options struct {
 	// records (default DefaultSnapshotEvery; negative disables automatic
 	// snapshots).
 	SnapshotEvery int
-	// Clock drives snapshot-age accounting and interval fsync pacing;
-	// nil means the wall clock.
+	// Clock drives snapshot-age accounting; nil means the wall clock.
+	// Interval fsync is paced on the process's monotonic clock instead:
+	// the loss window FsyncInterval bounds is what a real crash loses, in
+	// real time, however fast a virtual site clock runs.
 	Clock simclock.Clock
 	// AppendHook, when set, intercepts the physical write of each framed
 	// record: it returns how many bytes of the frame to actually write and
@@ -152,7 +154,7 @@ type Store struct {
 	snapAt    time.Time
 	hasSnap   bool
 
-	lastSync time.Time
+	lastSync time.Time // monotonic: when the active segment was last synced
 	dirty    bool
 	crashed  bool
 	err      error
@@ -195,7 +197,7 @@ func Open(opts Options) (*Store, error) {
 		opts:     opts,
 		clock:    opts.Clock,
 		state:    newState(),
-		lastSync: opts.Clock.Now(),
+		lastSync: time.Now(),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -395,8 +397,7 @@ func (s *Store) maybeSyncLocked() error {
 	case FsyncAlways:
 		return s.syncLocked()
 	case FsyncInterval:
-		now := s.clock.Now()
-		if now.Sub(s.lastSync) >= s.opts.FsyncInterval {
+		if time.Since(s.lastSync) >= s.opts.FsyncInterval {
 			return s.syncLocked()
 		}
 	}
@@ -411,7 +412,7 @@ func (s *Store) syncLocked() error {
 		return err
 	}
 	s.dirty = false
-	s.lastSync = s.clock.Now()
+	s.lastSync = time.Now()
 	s.fsyncsC.Inc()
 	return nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"glare/internal/lease"
 	"glare/internal/simclock"
+	"glare/internal/telemetry"
 )
 
 // put builds a registry upsert record with a recognizable document.
@@ -422,5 +424,28 @@ func TestCASBlobRoundTrip(t *testing.T) {
 	third := mustOpen(t, Options{Dir: dir, Clock: clock, SnapshotEvery: -1})
 	if got := third.State().CAS; len(got) != 2 || got["sha256:aaa"].Artifact != "Ant" {
 		t.Fatalf("snapshot lost CAS blobs: %+v", got)
+	}
+}
+
+// TestIntervalFsyncPacedInRealTime: interval fsync bounds a real-crash
+// loss window, so it is paced in real time, not on the site clock. A
+// virtual clock that jumps a minute between quick appends must not turn
+// the policy into an fsync per append.
+func TestIntervalFsyncPacedInRealTime(t *testing.T) {
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	s := mustOpen(t, Options{Dir: t.TempDir(), Clock: clock, Fsync: FsyncInterval, FsyncInterval: time.Second})
+	tel := telemetry.New("site")
+	s.SetTelemetry(tel)
+	start := time.Now()
+	const appends = 50
+	for i := 0; i < appends; i++ {
+		clock.Advance(time.Minute)
+		appendAll(t, s, put(RegATR, fmt.Sprintf("T%d", i), "<Properties/>", clock.Now()))
+	}
+	// Every append inside one real second may sync at most once; allow one
+	// more per real second the loop took on a slow host.
+	limit := uint64(1 + time.Since(start)/time.Second)
+	if got := tel.Counter("glare_store_fsyncs_total").Value(); got > limit {
+		t.Fatalf("%d appends made %d fsyncs, want at most %d", appends, got, limit)
 	}
 }

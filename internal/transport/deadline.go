@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"strconv"
 	"time"
 
@@ -41,14 +42,27 @@ func stampDeadline(env *xmlutil.Node, remaining time.Duration) {
 // parseDeadline extracts the propagated budget from a request envelope,
 // anchoring it at now. ok is false when the envelope carries no (or a
 // malformed) stamp, i.e. the caller set no deadline.
+//
+// A budget that is not a finite number (NaN, ±Inf) is malformed. A finite
+// budget beyond time.Duration's range (about 292 years) is no deadline when
+// positive and already expired when negative: converting it to a Duration
+// would be implementation-defined, and on amd64 yields a deadline
+// centuries in the past either way.
 func parseDeadline(env *xmlutil.Node, now time.Time) (deadline time.Time, ok bool) {
 	dn := env.First(deadlineElem)
 	if dn == nil {
 		return time.Time{}, false
 	}
 	ms, err := strconv.ParseFloat(dn.AttrOr(budgetAttr, ""), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(ms) || math.IsInf(ms, 0) {
 		return time.Time{}, false
 	}
-	return now.Add(time.Duration(ms * float64(time.Millisecond))), true
+	ns := ms * float64(time.Millisecond)
+	switch {
+	case ns >= math.MaxInt64: // float64(MaxInt64) is 2^63, itself out of range
+		return time.Time{}, false
+	case ns <= math.MinInt64:
+		return now, true
+	}
+	return now.Add(time.Duration(ns)), true
 }

@@ -285,3 +285,43 @@ func TestPropagatedBudgetShrinksMonotonically(t *testing.T) {
 		budgets = nil
 	}
 }
+
+// TestParseDeadlineOutOfRange: a budget that is not a finite number is
+// malformed, and a finite budget past time.Duration's range is no
+// deadline (or, when negative, expired) — never a deadline centuries in
+// the past that refuses a live request as expired.
+func TestParseDeadlineOutOfRange(t *testing.T) {
+	now := time.Unix(2000, 0)
+	cases := []struct {
+		budget string
+		ok     bool
+		want   time.Duration // deadline - now, when ok
+	}{
+		{"142.512", true, 142512 * time.Microsecond},
+		{"0", true, 0},
+		{"-5", true, -5 * time.Millisecond},
+		{"9.2e12", true, time.Duration(9.2e12 * float64(time.Millisecond))},
+		{"NaN", false, 0},
+		{"Inf", false, 0},
+		{"+Inf", false, 0},
+		{"-Inf", false, 0},
+		{"1e300", false, 0},
+		{"9.3e15", false, 0},
+		{"9223372036854.776", false, 0}, // 2^63 ns
+		{"-1e300", true, 0},
+		{"abc", false, 0},
+		{"", false, 0},
+	}
+	for _, c := range cases {
+		env := xmlutil.NewNode("Envelope")
+		env.Elem(deadlineElem).SetAttr(budgetAttr, c.budget)
+		dl, ok := parseDeadline(env, now)
+		if ok != c.ok {
+			t.Errorf("budget %q: ok = %v (deadline %v), want %v", c.budget, ok, dl, c.ok)
+			continue
+		}
+		if ok && dl.Sub(now) != c.want {
+			t.Errorf("budget %q: deadline - now = %v, want %v", c.budget, dl.Sub(now), c.want)
+		}
+	}
+}

@@ -35,7 +35,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"crypto/tls"
 	"errors"
@@ -350,11 +349,7 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	var sp *telemetry.Span
 	var start time.Time
 	if tel != nil {
-		var traceID, parentSpan string
-		if tn := env.First("Trace"); tn != nil {
-			traceID = tn.AttrOr("trace", "")
-			parentSpan = tn.AttrOr("span", "")
-		}
+		traceID, parentSpan := traceContext(env)
 		sp = tel.StartRemote("srv:"+service+"."+opName, traceID, parentSpan)
 	}
 	start = time.Now()
@@ -397,6 +392,15 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/xml")
 	_, _ = io.WriteString(w, out.String())
+}
+
+// traceContext returns the caller's propagated trace and span IDs, empty
+// when the envelope carries none.
+func traceContext(env *xmlutil.Node) (traceID, parentSpan string) {
+	if tn := env.First("Trace"); tn != nil {
+		return tn.AttrOr("trace", ""), tn.AttrOr("span", "")
+	}
+	return "", ""
 }
 
 // stampHLC adds this site's hybrid-logical-clock stamp to an envelope;
@@ -806,7 +810,7 @@ func (c *Client) post(ctx context.Context, address string, env *xmlutil.Node, ti
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, address,
-		bytes.NewReader([]byte(env.String())))
+		strings.NewReader(env.String()))
 	if err != nil {
 		return nil, fmt.Errorf("transport: call %s: %w", address, err)
 	}

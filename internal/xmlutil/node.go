@@ -8,12 +8,9 @@
 package xmlutil
 
 import (
-	"bytes"
-	"encoding/xml"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Attr is a single XML attribute. Attributes keep insertion order so that
@@ -194,29 +191,43 @@ func (n *Node) Equal(o *Node) bool {
 }
 
 // String serializes the subtree as compact XML.
-func (n *Node) String() string {
-	var b bytes.Buffer
-	n.write(&b, -1, 0)
-	return b.String()
-}
+func (n *Node) String() string { return n.render(-1) }
 
 // Indent serializes the subtree as indented XML.
-func (n *Node) Indent() string {
-	var b bytes.Buffer
-	n.write(&b, 0, 0)
+func (n *Node) Indent() string { return n.render(0) }
+
+func (n *Node) render(indent int) string {
+	var b strings.Builder
+	size := n.size()
+	b.Grow(size + size/16) // escapes and indentation rarely need more
+	n.write(&b, indent, 0)
 	return b.String()
 }
 
-func (n *Node) write(b *bytes.Buffer, indent, depth int) {
-	pad := ""
+// size is the length of the compact serialization before escaping.
+func (n *Node) size() int {
+	s := 2*len(n.Name) + 5 + len(n.Text)
+	for _, a := range n.Attrs {
+		s += len(a.Name) + len(a.Value) + 4
+	}
+	for _, c := range n.Children {
+		s += c.size()
+	}
+	return s
+}
+
+func (n *Node) write(b *strings.Builder, indent, depth int) {
 	if indent >= 0 {
-		pad = strings.Repeat("  ", depth)
-		b.WriteString(pad)
+		writePad(b, depth)
 	}
 	b.WriteByte('<')
 	b.WriteString(n.Name)
 	for _, a := range n.Attrs {
-		fmt.Fprintf(b, " %s=\"%s\"", a.Name, escapeAttr(a.Value))
+		b.WriteByte(' ')
+		b.WriteString(a.Name)
+		b.WriteString(`="`)
+		escapeAttr(b, a.Value)
+		b.WriteByte('"')
 	}
 	if len(n.Children) == 0 && n.Text == "" {
 		b.WriteString("/>")
@@ -226,9 +237,7 @@ func (n *Node) write(b *bytes.Buffer, indent, depth int) {
 		return
 	}
 	b.WriteByte('>')
-	if n.Text != "" {
-		b.WriteString(escapeText(n.Text))
-	}
+	escapeText(b, n.Text)
 	if len(n.Children) > 0 {
 		if indent >= 0 {
 			b.WriteByte('\n')
@@ -237,7 +246,7 @@ func (n *Node) write(b *bytes.Buffer, indent, depth int) {
 			c.write(b, indent, depth+1)
 		}
 		if indent >= 0 {
-			b.WriteString(pad)
+			writePad(b, depth)
 		}
 	}
 	b.WriteString("</")
@@ -248,102 +257,73 @@ func (n *Node) write(b *bytes.Buffer, indent, depth int) {
 	}
 }
 
-func escapeText(s string) string {
-	var b bytes.Buffer
-	if err := xml.EscapeText(&b, []byte(s)); err != nil {
-		return s
+func writePad(b *strings.Builder, depth int) {
+	for i := 0; i < depth; i++ {
+		b.WriteString("  ")
 	}
-	return b.String()
 }
 
-// attrEscaper escapes attribute values. Tab, newline and carriage return
-// are written as character references: a parser normalizes them when
-// they appear literally, so only the references round-trip.
-var attrEscaper = strings.NewReplacer(
-	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
-	"\t", "&#x9;", "\n", "&#xA;", "\r", "&#xD;",
-)
+// textEscapes holds the replacement of each ASCII byte that needs one in
+// character data, following encoding/xml's EscapeText: the markup and
+// quote bytes and tab, newline and carriage return as references, and the
+// other C0 controls, which are not XML characters, as U+FFFD.
+var textEscapes = func() (t [utf8.RuneSelf]string) {
+	for c := range t[:0x20] {
+		t[c] = "\uFFFD"
+	}
+	t['"'], t['\''], t['&'], t['<'], t['>'] = "&#34;", "&#39;", "&amp;", "&lt;", "&gt;"
+	t['\t'], t['\n'], t['\r'] = "&#x9;", "&#xA;", "&#xD;"
+	return t
+}()
 
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
-
-// Parse reads one XML document (or fragment with a single root) into a tree.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var stack []*Node
-	var root *Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmlutil: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := NewNode(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				n.SetAttr(a.Name.Local, a.Value)
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmlutil: multiple root elements")
-				}
-				root = n
-			} else {
-				top := stack[len(stack)-1]
-				top.Children = append(top.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmlutil: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				top := stack[len(stack)-1]
-				top.Text += string(t)
-			}
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmlutil: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmlutil: unterminated document")
-	}
-	trimWhitespace(root)
-	return root, nil
+// attrEscapes holds the replacement of each ASCII byte that needs one in
+// an attribute value. Tab, newline and carriage return are written as
+// character references: a parser normalizes them when they appear
+// literally, so only the references round-trip.
+var attrEscapes = [utf8.RuneSelf]string{
+	'&': "&amp;", '<': "&lt;", '>': "&gt;", '"': "&quot;",
+	'\t': "&#x9;", '\n': "&#xA;", '\r': "&#xD;",
 }
 
-// ParseString parses XML from a string.
-func ParseString(s string) (*Node, error) { return Parse(strings.NewReader(s)) }
-
-// MustParse parses XML and panics on error. For use with literals in tests
-// and examples.
-func MustParse(s string) *Node {
-	n, err := ParseString(s)
-	if err != nil {
-		panic(err)
+// escapeText writes s as character data. A byte sequence that is not
+// valid UTF-8, or a rune outside the XML character range, is written as
+// U+FFFD.
+func escapeText(b *strings.Builder, s string) {
+	last := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if esc := textEscapes[c]; esc != "" {
+				b.WriteString(s[last:i])
+				b.WriteString(esc)
+				last = i + 1
+			}
+			i++
+			continue
+		}
+		r, width := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && width == 1 || !isInCharacterRange(r) {
+			b.WriteString(s[last:i])
+			b.WriteString("\uFFFD")
+			last = i + width
+		}
+		i += width
 	}
-	return n
+	b.WriteString(s[last:])
 }
 
-// trimWhitespace removes pure-formatting whitespace text from elements that
-// have children (mixed content is preserved only when non-blank).
-func trimWhitespace(n *Node) {
-	if strings.TrimSpace(n.Text) == "" {
-		n.Text = ""
-	} else {
-		n.Text = strings.TrimSpace(n.Text)
+// escapeAttr writes s as an attribute value. Bytes other than the escaped
+// ASCII ones are copied as they are.
+func escapeAttr(b *strings.Builder, s string) {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < utf8.RuneSelf && attrEscapes[c] != "" {
+			b.WriteString(s[last:i])
+			b.WriteString(attrEscapes[c])
+			last = i + 1
+		}
 	}
-	for _, c := range n.Children {
-		trimWhitespace(c)
-	}
+	b.WriteString(s[last:])
 }
 
 // SortChildrenByName orders direct children by element name then text; used
